@@ -13,7 +13,14 @@ import numpy as np
 
 from .cyclotomic import CyclotomicContext
 from .documents import GraphDocument, generate_instance, parse_graph, render_document
-from .errors import HermixError, InternalCheckFailed, NotInClassH, NotUnicyclic
+from .errors import (
+    HermixError,
+    InternalCheckFailed,
+    InvalidParameter,
+    NotInClassH,
+    NotUnicyclic,
+    ParseError,
+)
 from .graph import unique_cycle
 from .inverse import coaug_count_matrix, inverse_bipartite_upm, inverse_entry_general, orient_nonmatching
 from .matching import co_augmenting_paths, ensure_class_h
@@ -50,7 +57,11 @@ def format_complex(z: complex) -> str:
 
 def _load(path: str) -> GraphDocument:
     with open(path, encoding="utf-8") as fh:
-        return parse_graph(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"byte {exc.start} is not UTF-8 ({exc.reason})") from None
+    return parse_graph(text)
 
 
 def command_det(doc: GraphDocument, out) -> int:
@@ -88,6 +99,8 @@ def command_inverse(doc: GraphDocument, show_paths: bool, out) -> int:
 
 
 def command_classify(doc: GraphDocument, basepoint: int, out) -> int:
+    if doc.alpha_order != 3:
+        raise InvalidParameter(f"classify needs alpha_order 3, got {doc.alpha_order}")
     x = doc.to_graph()
     verdict = classify_gamma_similarity(x, basepoint)
     if isinstance(verdict, NotSimilar):

@@ -71,11 +71,12 @@ def parse_graph(text: str) -> GraphDocument:
     missing = sorted(set(_REQUIRED) - set(raw))
     if missing:
         raise ParseError(f"missing fields: {', '.join(missing)}")
+    # type(), not isinstance(): JSON true/false parse as bool, an int subclass
     n = raw["n"]
-    if not isinstance(n, int) or n < 0:
+    if type(n) is not int or n < 0:
         raise ParseError("field 'n' must be a nonnegative integer")
     order = raw["alpha_order"]
-    if not isinstance(order, int) or order < 1:
+    if type(order) is not int or order < 1:
         raise ParseError("field 'alpha_order' must be a positive integer")
     digons = _pair_list(raw["digons"], "digons")
     arcs = _pair_list(raw["arcs"], "arcs")
@@ -97,7 +98,7 @@ def _pair_list(raw, name: str) -> tuple[tuple[int, int], ...]:
         if (
             not isinstance(item, list)
             or len(item) != 2
-            or not all(isinstance(w, int) for w in item)
+            or not all(type(w) is int for w in item)
         ):
             raise ParseError(f"{name}[{k}] must be a pair of integers")
         out.append((item[0], item[1]))
@@ -136,14 +137,15 @@ def generate_instance(seed: int, n: int, unicyclic: bool = False) -> GraphDocume
     rng = random.Random(seed)
     matching = {(0, 1)}
     edges = {(0, 1)}
+    color = [0, 1]  # the tree's 2-colouring, grown with it
     for k in range(1, n // 2):
         a, b = 2 * k, 2 * k + 1
         anchor = rng.randrange(2 * k)
         edges.add((min(anchor, a), max(anchor, a)))
         edges.add((a, b))
         matching.add((a, b))
+        color += [1 - color[anchor], color[anchor]]
     if unicyclic:
-        color = _tree_coloring(n, edges)
         candidates = [
             (u, v)
             for u in range(n)
@@ -173,20 +175,3 @@ def generate_instance(seed: int, n: int, unicyclic: bool = False) -> GraphDocume
     if not is_unique_perfect_matching(doc.to_graph().underlying()):
         raise GenerationFailed(f"seed {seed}: generated graph failed verification")
     return doc
-
-
-def _tree_coloring(n: int, edges: set[tuple[int, int]]) -> list[int]:
-    nbrs: list[list[int]] = [[] for _ in range(n)]
-    for u, v in edges:
-        nbrs[u].append(v)
-        nbrs[v].append(u)
-    color = [-1] * n
-    color[0] = 0
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        for w in nbrs[v]:
-            if color[w] < 0:
-                color[w] = color[v] ^ 1
-                stack.append(w)
-    return color

@@ -69,6 +69,11 @@ class MixedGraph:
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self._adj[self.check_vertex(v)]
 
+    @property
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        """Sorted neighbour tuples indexed by vertex."""
+        return self._adj
+
     def degree(self, v: int) -> int:
         return len(self.neighbors(v))
 
@@ -168,18 +173,38 @@ def enumerate_paths(x: MixedGraph, i: int, j: int) -> list[tuple[int, ...]]:
     return out
 
 
+def balance(adj, roots, keep) -> tuple[list[int], tuple[int, int] | None]:
+    """Spread +-1 labels breadth-first over a signed graph.
+
+    ``adj[v]`` lists the neighbours of v. Each root not yet labelled gets +1;
+    every edge flips the label across it unless the edge, as a low-high pair,
+    is in ``keep``. Returns the labels (0 for a vertex no root reaches) and the
+    first edge (v, w), in visiting order, whose ends disagree, or None when the
+    reached part is balanced in Harary's sense.
+    """
+    label = [0] * len(adj)
+    conflict = None
+    for root in roots:
+        if label[root]:
+            continue
+        label[root] = 1
+        queue = deque([root])
+        while queue:
+            v = queue.popleft()
+            for w in adj[v]:
+                want = -label[v]
+                if keep and ((v, w) if v < w else (w, v)) in keep:
+                    want = label[v]
+                if not label[w]:
+                    label[w] = want
+                    queue.append(w)
+                elif label[w] != want and conflict is None:
+                    conflict = (v, w)
+    return label, conflict
+
+
 def is_connected(x: MixedGraph) -> bool:
-    if x.n == 0:
-        return True
-    seen = {0}
-    queue = deque([0])
-    while queue:
-        v = queue.popleft()
-        for w in x.neighbors(v):
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return len(seen) == x.n
+    return x.n == 0 or all(balance(x.adjacency, (0,), ())[0])
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from .errors import (
     NotPerfect,
     SameVertex,
 )
-from .graph import MixedGraph
+from .graph import MixedGraph, balance
 
 
 class Matching:
@@ -63,22 +63,12 @@ def bipartition(x: MixedGraph) -> tuple[frozenset[int], frozenset[int]]:
     Deterministic: each component is rooted at its smallest vertex, which goes
     into the first class.
     """
-    color: dict[int, int] = {}
-    for root in range(x.n):
-        if root in color:
-            continue
-        color[root] = 0
-        queue = deque([root])
-        while queue:
-            v = queue.popleft()
-            for w in x.neighbors(v):
-                if w not in color:
-                    color[w] = color[v] ^ 1
-                    queue.append(w)
-                elif color[w] == color[v]:
-                    raise NotBipartite(f"odd cycle through vertices {v} and {w}")
-    side0 = frozenset(v for v, c in color.items() if c == 0)
-    side1 = frozenset(v for v, c in color.items() if c == 1)
+    label, conflict = balance(x.adjacency, range(x.n), ())
+    if conflict:
+        v, w = conflict
+        raise NotBipartite(f"odd cycle through vertices {v} and {w}")
+    side0 = frozenset(v for v, s in enumerate(label) if s == 1)
+    side1 = frozenset(v for v, s in enumerate(label) if s == -1)
     return side0, side1
 
 

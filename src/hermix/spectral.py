@@ -12,6 +12,7 @@ from .cyclotomic import CyclotomicContext, CyclotomicNumber
 from .errors import (
     ContextMismatch,
     DimensionTooLarge,
+    InvalidParameter,
     NotAWalk,
     NumericallySingular,
 )
@@ -247,7 +248,14 @@ def _leibniz_cap(explicit: int | None) -> int:
     if explicit is not None:
         return explicit
     raw = os.environ.get("HERMIX_MAX_LEIBNIZ")
-    return int(raw) if raw else DEFAULT_LEIBNIZ_CAP
+    if not raw:
+        return DEFAULT_LEIBNIZ_CAP
+    try:
+        return int(raw)
+    except ValueError:
+        raise InvalidParameter(
+            f"HERMIX_MAX_LEIBNIZ must be an integer, got {raw!r}"
+        ) from None
 
 
 def det_leibniz(h: ExactHermitianMatrix, max_dim: int | None = None) -> CyclotomicNumber:

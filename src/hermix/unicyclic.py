@@ -4,7 +4,6 @@ two-peg inverse entries, and +-1 diagonal similarity to an adjacency matrix."""
 from __future__ import annotations
 
 import enum
-from collections import deque
 from dataclasses import dataclass
 
 from .cyclotomic import (
@@ -25,8 +24,8 @@ from .errors import (
     NotTwoPegs,
     OddCycleParity,
 )
-from .graph import MixedGraph, unique_cycle
-from .inverse import inverse_bipartite_upm, orient_nonmatching
+from .graph import MixedGraph, balance, unique_cycle
+from .inverse import _coaug_sign, inverse_bipartite_upm, orient_nonmatching
 from .matching import Matching, co_augmenting_paths, ensure_class_h
 from .spectral import ExactHermitianMatrix, h_alpha_matrix, walk_value
 
@@ -98,21 +97,13 @@ def sign_assignment(g: MixedGraph, m: Matching, basepoint: int) -> DiagonalSigns
     edges; a parity conflict on any non-tree edge raises OddCycleParity.
     """
     g.check_vertex(basepoint)
-    signs: list[int | None] = [None] * g.n
-    signs[basepoint] = 1
-    queue = deque([basepoint])
-    while queue:
-        v = queue.popleft()
-        for w in g.neighbors(v):
-            expected = signs[v] * (1 if (v, w) in m else -1)
-            if signs[w] is None:
-                signs[w] = expected
-                queue.append(w)
-            elif signs[w] != expected:
-                raise OddCycleParity(
-                    f"edge ({v}, {w}) closes a cycle with odd unmatched-edge count"
-                )
-    if any(s is None for s in signs):
+    signs, conflict = balance(g.adjacency, (basepoint,), m.edges)
+    if conflict:
+        v, w = conflict
+        raise OddCycleParity(
+            f"edge ({v}, {w}) closes a cycle with odd unmatched-edge count"
+        )
+    if not all(signs):
         raise Disconnected("sign propagation did not reach every vertex")
     return DiagonalSigns(tuple(signs), basepoint)
 
@@ -188,11 +179,28 @@ def two_peg_entry(
     half = info.half_length
     bracket = ctx.one() + (h_cycle if half % 2 else -h_cycle)
     value = h_pre * h_f * h_suf * bracket
-    return value if _coaug_prefactor(path) == 1 else -value
+    return value if _coaug_sign(path) == 1 else -value
 
 
-def _coaug_prefactor(path: tuple[int, ...]) -> int:
-    return -1 if ((len(path) - 2) // 2) % 2 else 1
+def _signed_entries(mat: ExactHermitianMatrix) -> list[tuple] | None:
+    """The sign constraints a +-1 diagonal D must meet to make every entry of
+    D * mat * D Zero or a positive power of alpha.
+
+    One (i, j, SignedPower) per nonzero upper-triangle entry: i != j asks for
+    d_i * d_j equal to its sign. None when no diagonal can work: some entry
+    classifies as Other, or a diagonal entry, which conjugation leaves alone,
+    is a negative power.
+    """
+    out = []
+    for i in range(mat.dim):
+        for j in range(i, mat.dim):
+            kind = classify_entry(mat.entry(i, j))
+            if kind is ZERO:
+                continue
+            if kind is OTHER or (i == j and kind.sign != 1):
+                return None
+            out.append((i, j, kind))
+    return out
 
 
 def exhaustive_diag_similarity(hinv: ExactHermitianMatrix) -> DiagonalSigns | None:
@@ -206,20 +214,10 @@ def exhaustive_diag_similarity(hinv: ExactHermitianMatrix) -> DiagonalSigns | No
     dim = hinv.dim
     if dim > 16:
         raise DimensionTooLarge(f"exhaustive search capped at dim 16, got {dim}")
-    constraints: list[tuple[int, int, int]] = []
-    for i in range(dim):
-        for j in range(i, dim):
-            kind = classify_entry(hinv.entry(i, j))
-            if kind is ZERO:
-                continue
-            if kind is OTHER:
-                return None
-            if i == j:
-                # diagonal is untouched by conjugation
-                if kind.sign != 1:
-                    return None
-                continue
-            constraints.append((i, j, kind.sign))
+    entries = _signed_entries(hinv)
+    if entries is None:
+        return None
+    constraints = [(i, j, kind.sign) for i, j, kind in entries if i != j]
     for bits in range(1 << max(dim - 1, 0)):
         signs = [1] * dim
         for p in range(1, dim):
@@ -249,50 +247,6 @@ class NotSimilar:
     reason: Obstruction
 
 
-def _consistent_signs(
-    hinv: ExactHermitianMatrix, basepoint: int
-) -> DiagonalSigns | None:
-    """Two-color the sign constraints read off the matrix entries.
-
-    Entries classifying as +alpha^k demand sign product +1 across their pair,
-    -alpha^k demands -1, Zero demands nothing, and Other admits no diagonal at
-    all. Colors spread from the basepoint; each untouched constraint component
-    starts fresh at +1.
-    """
-    dim = hinv.dim
-    adjacency: list[list[tuple[int, int]]] = [[] for _ in range(dim)]
-    for i in range(dim):
-        for j in range(i, dim):
-            kind = classify_entry(hinv.entry(i, j))
-            if kind is ZERO:
-                continue
-            if kind is OTHER:
-                return None
-            if i == j:
-                # diagonal is untouched by conjugation
-                if kind.sign != 1:
-                    return None
-                continue
-            adjacency[i].append((j, kind.sign))
-            adjacency[j].append((i, kind.sign))
-    signs = [0] * dim
-    for root in (basepoint, *range(dim)):
-        if signs[root]:
-            continue
-        signs[root] = 1
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
-            for v, want in adjacency[u]:
-                target = signs[u] * want
-                if signs[v] == 0:
-                    signs[v] = target
-                    queue.append(v)
-                elif signs[v] != target:
-                    return None
-    return DiagonalSigns(tuple(signs), basepoint)
-
-
 def classify_gamma_similarity(x: MixedGraph, basepoint: int = 0):
     """Decide whether the order-3 inverse is +-1 diagonally similar to a
     gamma-hermitian adjacency matrix; produce the certificate when it is.
@@ -319,10 +273,22 @@ def classify_gamma_similarity(x: MixedGraph, basepoint: int = 0):
     info = peg_info(x, m)
     ctx = CyclotomicContext(3)
     report = inverse_bipartite_upm(x, ctx)
-    d = _consistent_signs(report.matrix, basepoint)
+    entries = _signed_entries(report.matrix)
+    signs = None
+    if entries is not None:
+        if any(i == j for i, j, _ in entries):
+            raise InternalCheckFailed("inverse has a nonzero diagonal entry")
+        adj: list[list[int]] = [[] for _ in range(x.n)]
+        for i, j, _ in entries:
+            adj[i].append(j)
+            adj[j].append(i)
+        keep = {(i, j) for i, j, kind in entries if kind.sign == 1}
+        signs, conflict = balance(adj, (basepoint, *range(x.n)), keep)
+        if conflict:
+            signs = None
     many_pegs = len(info.pegs) > 2
     even_parity = info.unmatched_cycle_edge_count % 2 == 0
-    if d is None:
+    if signs is None:
         if not many_pegs:
             return NotSimilar(Obstruction.TWO_PEGS)
         if not even_parity:
@@ -334,33 +300,16 @@ def classify_gamma_similarity(x: MixedGraph, basepoint: int = 0):
         raise InternalCheckFailed(
             "consistent diagonal found despite odd unmatched cycle parity"
         )
-    conj = report.matrix.conjugated_by_signs(d.signs)
-    graph = _gamma_matrix_graph(conj)
-    return Similar(signs=d, graph=graph, conjugated=conj)
-
-
-def _gamma_matrix_graph(mat: ExactHermitianMatrix) -> MixedGraph:
-    """Read a mixed graph off a matrix whose entries are 0, 1, gamma, gamma^2."""
-    order = mat.ctx.order
-    digons = []
-    arcs = []
-    for i in range(mat.dim):
-        for j in range(i, mat.dim):
-            kind = classify_entry(mat.entry(i, j))
-            if kind is ZERO:
-                continue
-            if kind is OTHER or kind.sign != 1 or i == j:
-                raise InternalCheckFailed(
-                    f"certificate entry ({i}, {j}) is not an adjacency value"
-                )
-            if kind.exponent == 0:
-                digons.append((i, j))
-            elif kind.exponent == 1:
-                arcs.append((i, j))
-            elif kind.exponent == order - 1:
-                arcs.append((j, i))
-            else:
-                raise InternalCheckFailed(
-                    f"certificate entry ({i}, {j}) is not an adjacency value"
-                )
-    return MixedGraph(mat.dim, digons, arcs)
+    # the witness graph comes from the exponents read above; gamma^2 is an arc j -> i
+    graph = MixedGraph(
+        x.n,
+        [(i, j) for i, j, kind in entries if kind.exponent == 0],
+        [(i, j) if k.exponent == 1 else (j, i) for i, j, k in entries if k.exponent],
+    )
+    conj = report.matrix.conjugated_by_signs(signs)
+    for i, j, _ in entries:
+        if conj.entry(i, j) != ctx.root_power(graph.hermitian_exponent(i, j)):
+            raise InternalCheckFailed(
+                f"certificate entry ({i}, {j}) is not an adjacency value"
+            )
+    return Similar(DiagonalSigns(tuple(signs), basepoint), graph, conj)

@@ -1,12 +1,17 @@
 import importlib
 import io
+import json
 import os
 import shutil
 import subprocess
 import sys
+import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import hermix
 import hermix.cli as cli
@@ -16,6 +21,7 @@ from hermix import (
     ParseError,
     ensure_class_h,
     parse_graph,
+    render_document,
     unique_cycle,
 )
 
@@ -45,10 +51,29 @@ def test_det_missing_file_exit_2(tmp_path):
 
 def test_det_unparsable_document_exit_2(tmp_path):
     bad = tmp_path / "bad.json"
-    bad.write_text('{"n": 2, "digons": [[0, 1]]}')  # no arcs, no alpha_order
-    code, _, err = run_cli(["det", str(bad)])
+    for content in (
+        b'{"n": 2, "digons": [[0, 1]]}',  # no arcs, no alpha_order
+        b"\xff\xfe{",  # not UTF-8
+    ):
+        bad.write_bytes(content)
+        code, out, err = run_cli(["det", str(bad)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ParseError") and err.count("\n") == 1
+
+
+def test_classify_requires_order_3(tmp_path):
+    doc = parse_graph((DATA / "c4_four_pendants.json").read_text())
+    target = tmp_path / "c4_order5.json"
+    target.write_text(render_document(replace(doc, alpha_order=5)))
+    code, out, err = run_cli(["classify", str(target)])
     assert code == 2
-    assert "error: ParseError" in err
+    assert out == ""
+    assert err == "error: InvalidParameter: classify needs alpha_order 3, got 5\n"
+    # check keeps running its order-3 similarity check on any document
+    code, out, _ = run_cli(["check", str(target)])
+    assert code == 0
+    assert "similarity_vs_exhaustive: pass" in out.splitlines()
 
 
 def test_classify_tree_exit_2():
@@ -136,6 +161,13 @@ def test_check_respects_leibniz_cap(monkeypatch):
     monkeypatch.setenv("HERMIX_MAX_LEIBNIZ", "8")
     _, out, _ = run_cli(["check", str(DATA / "c6_two_pendants.json")])
     assert "det_elementary_vs_leibniz: pass" in out.splitlines()
+    monkeypatch.setenv("HERMIX_MAX_LEIBNIZ", "abc")
+    code, out, err = run_cli(["check", str(DATA / "c6_two_pendants.json")])
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "error: InvalidParameter: HERMIX_MAX_LEIBNIZ must be an integer, got 'abc'\n"
+    )
 
 
 def test_gen_is_deterministic(tmp_path):
@@ -183,6 +215,15 @@ def test_parse_error_details():
         parse_graph('{"n": 2, "digons": [[0, 1, 2]], "arcs": [], "alpha_order": 3}')
     with pytest.raises(ParseError):
         parse_graph("not json at all")
+    # JSON booleans are not integers
+    for doc, field in (
+        ('{"n": true, "digons": [], "arcs": [], "alpha_order": 3}', "'n'"),
+        ('{"n": 2, "digons": [], "arcs": [], "alpha_order": true}', "alpha_order"),
+        ('{"n": 2, "digons": [[false, true]], "arcs": [], "alpha_order": 3}', "pair"),
+        ('{"n": 2, "digons": [], "arcs": [[0, true]], "alpha_order": 3}', "pair"),
+    ):
+        with pytest.raises(ParseError, match=field):
+            parse_graph(doc)
 
 
 def test_vertex_out_of_range_exit_2(tmp_path):
@@ -256,3 +297,33 @@ def test_module_exit_code_passes_through(tmp_path):
     assert len(lines) == 1
     assert lines[0].startswith("error: ")
     assert "Traceback" not in result.stderr
+
+
+_vertex = st.one_of(st.integers(-1, 8), st.booleans())
+_pairs = st.lists(
+    st.one_of(st.lists(_vertex, min_size=2, max_size=2), st.lists(_vertex, max_size=3)),
+    max_size=10,
+)
+_documents = st.fixed_dictionaries(
+    {
+        "n": st.one_of(st.integers(0, 8), st.booleans()),
+        "digons": _pairs,
+        "arcs": _pairs,
+        "alpha_order": st.one_of(st.integers(0, 6), st.booleans()),
+    },
+    optional={"labels": st.lists(st.text(max_size=2), max_size=9)},
+).map(lambda doc: json.dumps(doc).encode())
+
+
+@settings(max_examples=200, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    command=st.sampled_from(["det", "inverse", "classify"]),
+    content=st.one_of(st.binary(max_size=64), _documents),
+)
+def test_fuzz_documents_exit_0_or_2(command, content):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "doc.json"
+        path.write_bytes(content)
+        code, _, err = run_cli([command, str(path)])
+    assert code in (0, 2)
+    assert err == "" or (err.startswith("error: ") and err.count("\n") == 1)

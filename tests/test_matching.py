@@ -76,9 +76,10 @@ def test_bipartition_deterministic_sides():
 
 
 def test_bipartition_rejects_odd_cycles():
-    for k in (3, 5):
+    for k, v, w in ((3, 1, 2), (5, 2, 3)):
         cyc = MixedGraph(k, digons=[(i, (i + 1) % k) for i in range(k)])
-        with pytest.raises(NotBipartite):
+        msg = f"^odd cycle through vertices {v} and {w}$"
+        with pytest.raises(NotBipartite, match=msg):
             bipartition(cyc)
 
 

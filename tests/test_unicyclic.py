@@ -1,12 +1,15 @@
-
 import pytest
 
+import hermix.unicyclic as unicyclic
 from hermix import (
     CyclotomicContext,
     DiagonalSigns,
     DimensionTooLarge,
     Disconnected,
+    ExactHermitianMatrix,
+    InternalCheckFailed,
     InvalidParameter,
+    InverseReport,
     MixedGraph,
     NoDoublePath,
     NotAWalk,
@@ -117,8 +120,11 @@ def test_sign_assignment_basepoints_differ_by_global_sign():
 def test_sign_assignment_odd_parity_raises():
     g = c6_four_pendants()
     m = ensure_class_h(g)
-    with pytest.raises(OddCycleParity):
-        sign_assignment(g, m, 0)
+    # the message names the first conflicting edge in breadth-first order
+    for basepoint, v, w in ((0, 4, 3), (3, 5, 0), (5, 3, 2)):
+        msg = rf"^edge \({v}, {w}\) closes a cycle with odd unmatched-edge count$"
+        with pytest.raises(OddCycleParity, match=msg):
+            sign_assignment(g, m, basepoint)
 
 
 def test_sign_assignment_requires_connectivity():
@@ -276,6 +282,25 @@ def test_two_peg_similar_when_pegs_adjacent():
     refused = classify_gamma_similarity(twisted)
     assert isinstance(refused, NotSimilar)
     assert refused.reason is Obstruction.TWO_PEGS
+
+
+def test_similarity_certificate_is_verified(monkeypatch):
+    x = c4_four_pendants()  # Similar, with D = [1, -1, 1, -1, ...]
+    with monkeypatch.context() as patch:
+        # a conjugation that does nothing leaves entries -gamma^k behind
+        patch.setattr(ExactHermitianMatrix, "conjugated_by_signs", lambda m, s: m)
+        with pytest.raises(InternalCheckFailed, match="not an adjacency value"):
+            classify_gamma_similarity(x)
+
+    def inverse_with_diagonal(g, ctx):
+        report = inverse_bipartite_upm(g, ctx)
+        rows = [list(row) for row in report.matrix.rows]
+        rows[0][0] = ctx.one()
+        return InverseReport(ExactHermitianMatrix(ctx, rows), report.contributions)
+
+    monkeypatch.setattr(unicyclic, "inverse_bipartite_upm", inverse_with_diagonal)
+    with pytest.raises(InternalCheckFailed):
+        classify_gamma_similarity(x)
 
 
 def test_classification_rejects_wrong_shapes():
