@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from typing import Callable
 
 import numpy as np
 
@@ -21,11 +22,11 @@ from .errors import (
     NotUnicyclic,
     ParseError,
 )
-from .graph import unique_cycle
-from .inverse import coaug_count_matrix, inverse_bipartite_upm, inverse_entry_general, orient_nonmatching
-from .matching import co_augmenting_paths, ensure_class_h
+from .graph import MixedGraph, unique_cycle
+from .inverse import inverse_bipartite_upm, inverse_entry_general, orient_nonmatching
+from .matching import ensure_class_h
 from .spectral import (
-    DEFAULT_LEIBNIZ_CAP,
+    ExactHermitianMatrix,
     _leibniz_cap,
     det_leibniz,
     det_via_elementary,
@@ -114,116 +115,122 @@ def command_classify(doc: GraphDocument, basepoint: int, out) -> int:
     return 0
 
 
+class GraphFacts:
+    """What the checks read about one graph, each computed once. Outside
+    class H the matching and the inverse report are None."""
+
+    def __init__(self, x: MixedGraph, ctx: CyclotomicContext):
+        self.x, self.ctx = x, ctx
+        self.h = h_alpha_matrix(x, ctx)
+        self.det = det_via_elementary(x, ctx)
+        try:
+            self.matching = ensure_class_h(x)
+        except NotInClassH:
+            self.matching = None
+        self.report = None if self.matching is None else inverse_bipartite_upm(x, ctx)
+        try:
+            self.unicyclic = unique_cycle(x) is not None
+        except NotUnicyclic:
+            self.unicyclic = False
+
+
+# The checks of ``hermix check`` in output order: name -> (applies, holds).
+# A check reports skip on every graph where ``applies`` is false.
+CHECKS: dict[str, tuple[Callable[[GraphFacts], bool], Callable[[GraphFacts], bool]]] = {}
+
+
+def _check(applies):
+    def register(holds):
+        CHECKS[holds.__name__] = (applies, holds)
+        return holds
+    return register
+
+
+@_check(lambda f: f.x.n <= _leibniz_cap(None))
+def det_elementary_vs_leibniz(f: GraphFacts) -> bool:
+    return f.det == det_leibniz(f.h)
+
+
+@_check(lambda f: True)
+def det_elementary_vs_numeric(f: GraphFacts) -> bool:
+    numeric = complex(np.linalg.det(f.h.to_complex())) if f.x.n else complex(1)
+    return abs(f.det.to_complex() - numeric) <= NUMERIC_AGREEMENT
+
+
+@_check(lambda f: f.report is not None)
+def det_sign_law(f: GraphFacts) -> bool:
+    return f.det == f.ctx.from_rational(1 if (f.x.n // 2) % 2 == 0 else -1)
+
+
+@_check(lambda f: f.report is not None)
+def inverse_identity(f: GraphFacts) -> bool:
+    return f.report.matrix.multiply(f.h) == ExactHermitianMatrix.identity(f.ctx, f.x.n).rows
+
+
+@_check(lambda f: f.report is not None)
+def inverse_zero_diagonal(f: GraphFacts) -> bool:
+    return all(f.report.matrix.entry(i, i).is_zero() for i in range(f.x.n))
+
+
+@_check(lambda f: f.report is not None)
+def inverse_vs_numeric(f: GraphFacts) -> bool:
+    diff = np.abs(f.report.matrix.to_complex() - numeric_inverse(f.h)).max() if f.x.n else 0.0
+    return diff <= NUMERIC_AGREEMENT
+
+
+@_check(lambda f: f.report is not None)
+def inverse_vs_general_formula(f: GraphFacts) -> bool:
+    inv, pairs = f.report.matrix, f.report.contributions  # keyed by every pair i != j
+    return all(inverse_entry_general(f.x, f.ctx, i, j) == inv.entry(i, j) for i, j in pairs)
+
+
+@_check(lambda f: f.report is not None)
+def coaugmenting_counts(f: GraphFacts) -> bool:
+    """With every non-matching edge oriented, the order-2 inverse counts the
+    co-augmenting paths behind each entry."""
+    oriented = orient_nonmatching(f.x.underlying(), f.matching)
+    counts = inverse_bipartite_upm(oriented, CyclotomicContext(2)).matrix
+    return all(
+        counts.entry(i, j) == len(f.report.contributions.get((i, j), ()))
+        for i in range(f.x.n)
+        for j in range(f.x.n)
+    )
+
+
+@_check(lambda f: f.report is not None and f.unicyclic)
+def peg_structure(f: GraphFacts) -> bool:
+    """At least two pegs. With more than two, no pair has two co-augmenting
+    paths; with exactly two, each path of such a pair runs over both pegs."""
+    pegs = set(peg_info(f.x, f.matching).pegs)
+    bags = f.report.contributions.values()
+    if len(pegs) > 2:
+        return all(len(bag) <= 1 for bag in bags)
+    return len(pegs) == 2 and all(
+        pegs <= {(min(u, v), max(u, v)) for u, v in zip(path, path[1:])}
+        for bag in bags
+        if len(bag) == 2
+        for path, _ in bag
+    )
+
+
+@_check(lambda f: f.report is not None and f.unicyclic and f.x.n <= 16)
+def similarity_vs_exhaustive(f: GraphFacts) -> bool:
+    verdict = classify_gamma_similarity(f.x)
+    order3 = f.report if f.ctx.order == 3 else inverse_bipartite_upm(f.x, CyclotomicContext(3))
+    found = exhaustive_diag_similarity(order3.matrix)
+    return isinstance(verdict, Similar) == (found is not None)
+
+
+def run_check(name: str, facts: GraphFacts) -> str:
+    """pass, fail or skip: the outcome of one registered check on one graph."""
+    applies, holds = CHECKS[name]
+    return ("pass" if holds(facts) else "fail") if applies(facts) else "skip"
+
+
 def command_check(doc: GraphDocument, out) -> int:
-    x = doc.to_graph()
-    ctx = CyclotomicContext(doc.alpha_order)
-    h = h_alpha_matrix(x, ctx)
-    results: list[tuple[str, str]] = []
-
-    det_exact = det_via_elementary(x, ctx)
-    if x.n <= _leibniz_cap(None):
-        ok = det_exact == det_leibniz(h)
-        results.append(("det_elementary_vs_leibniz", "pass" if ok else "fail"))
-    else:
-        results.append(("det_elementary_vs_leibniz", "skip"))
-    numeric_det = complex(np.linalg.det(h.to_complex())) if x.n else complex(1)
-    ok = abs(det_exact.to_complex() - numeric_det) <= NUMERIC_AGREEMENT
-    results.append(("det_elementary_vs_numeric", "pass" if ok else "fail"))
-
-    try:
-        m = ensure_class_h(x)
-    except NotInClassH:
-        m = None
-    if m is None:
-        for name in (
-            "det_sign_law",
-            "inverse_identity",
-            "inverse_zero_diagonal",
-            "inverse_vs_numeric",
-            "inverse_vs_general_formula",
-            "coaugmenting_counts",
-        ):
-            results.append((name, "skip"))
-        report = None
-    else:
-        want = ctx.from_rational(1 if (x.n // 2) % 2 == 0 else -1)
-        results.append(("det_sign_law", "pass" if det_exact == want else "fail"))
-        report = inverse_bipartite_upm(x, ctx)
-        product = report.matrix.multiply(h)
-        one, zero = ctx.one(), ctx.zero()
-        ok = all(
-            product[i][j] == (one if i == j else zero)
-            for i in range(x.n)
-            for j in range(x.n)
-        )
-        results.append(("inverse_identity", "pass" if ok else "fail"))
-        ok = all(report.matrix.entry(i, i).is_zero() for i in range(x.n))
-        results.append(("inverse_zero_diagonal", "pass" if ok else "fail"))
-        if x.n:
-            diff = np.abs(report.matrix.to_complex() - numeric_inverse(h)).max()
-        else:
-            diff = 0.0
-        results.append(
-            ("inverse_vs_numeric", "pass" if diff <= NUMERIC_AGREEMENT else "fail")
-        )
-        ok = all(
-            inverse_entry_general(x, ctx, i, j) == report.matrix.entry(i, j)
-            for i in range(x.n)
-            for j in range(x.n)
-            if i != j
-        )
-        results.append(("inverse_vs_general_formula", "pass" if ok else "fail"))
-        g = x.underlying()
-        counts = coaug_count_matrix(g, m)
-        ctx2 = CyclotomicContext(2)
-        oriented_inv = inverse_bipartite_upm(orient_nonmatching(g, m), ctx2).matrix
-        ok = all(
-            oriented_inv.entry(i, j) == counts[i][j]
-            for i in range(x.n)
-            for j in range(x.n)
-        )
-        results.append(("coaugmenting_counts", "pass" if ok else "fail"))
-
-    unicyclic = True
-    try:
-        unique_cycle(x)
-    except NotUnicyclic:
-        unicyclic = False
-    if m is not None and unicyclic:
-        info = peg_info(x, m)
-        ok = len(info.pegs) >= 2
-        if len(info.pegs) > 2:
-            ok = ok and all(
-                len(co_augmenting_paths(x, m, i, j)) <= 1
-                for i in range(x.n)
-                for j in range(i + 1, x.n)
-            )
-        else:
-            peg_edges = set(info.pegs)
-            for i in range(x.n):
-                for j in range(i + 1, x.n):
-                    paths = co_augmenting_paths(x, m, i, j)
-                    if len(paths) == 2:
-                        for path in paths:
-                            steps = {
-                                (min(u, v), max(u, v))
-                                for u, v in zip(path, path[1:])
-                            }
-                            ok = ok and peg_edges <= steps
-        results.append(("peg_structure", "pass" if ok else "fail"))
-        if x.n <= 16:
-            verdict = classify_gamma_similarity(x)
-            found = exhaustive_diag_similarity(
-                inverse_bipartite_upm(x, CyclotomicContext(3)).matrix
-            )
-            ok = isinstance(verdict, Similar) == (found is not None)
-            results.append(("similarity_vs_exhaustive", "pass" if ok else "fail"))
-        else:
-            results.append(("similarity_vs_exhaustive", "skip"))
-    else:
-        results.append(("peg_structure", "skip"))
-        results.append(("similarity_vs_exhaustive", "skip"))
-
+    facts = GraphFacts(doc.to_graph(), CyclotomicContext(doc.alpha_order))
+    # every check runs before anything is printed
+    results = [(name, run_check(name, facts)) for name in CHECKS]
     failed = sum(1 for _, status in results if status == "fail")
     for name, status in results:
         print(f"{name}: {status}", file=out)

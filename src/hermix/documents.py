@@ -13,6 +13,8 @@ from .matching import is_unique_perfect_matching
 
 _REQUIRED = ("n", "digons", "arcs", "alpha_order")
 _OPTIONAL = ("labels",)
+# CyclotomicContext tabulates an order x phi(order) table of powers
+MAX_ALPHA_ORDER = 1000
 
 
 @dataclass(frozen=True)
@@ -63,6 +65,8 @@ def parse_graph(text: str) -> GraphDocument:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except RecursionError:
+        raise ParseError("document is nested too deeply") from None
     if not isinstance(raw, dict):
         raise ParseError("top level must be an object")
     unknown = sorted(set(raw) - set(_REQUIRED) - set(_OPTIONAL))
@@ -76,8 +80,8 @@ def parse_graph(text: str) -> GraphDocument:
     if type(n) is not int or n < 0:
         raise ParseError("field 'n' must be a nonnegative integer")
     order = raw["alpha_order"]
-    if type(order) is not int or order < 1:
-        raise ParseError("field 'alpha_order' must be a positive integer")
+    if type(order) is not int or not 1 <= order <= MAX_ALPHA_ORDER:
+        raise ParseError(f"field 'alpha_order' must be an integer from 1 to {MAX_ALPHA_ORDER}")
     digons = _pair_list(raw["digons"], "digons")
     arcs = _pair_list(raw["arcs"], "arcs")
     labels = raw.get("labels")

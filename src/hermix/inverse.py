@@ -98,15 +98,3 @@ def orient_nonmatching(g: MixedGraph, m: Matching) -> MixedGraph:
     arcs = [e for e in g.digons if e not in m]
     return MixedGraph(g.n, digons, arcs)
 
-
-def coaug_count_matrix(g: MixedGraph, m: Matching) -> list[list[int]]:
-    """Number of co-augmenting i..j paths for every ordered pair (0 on the diagonal)."""
-    certified = ensure_class_h(g)
-    if certified != m:
-        raise InvalidParameter("supplied matching is not the unique perfect matching")
-    counts = [[0] * g.n for _ in range(g.n)]
-    for i in range(g.n):
-        for j in range(g.n):
-            if i != j:
-                counts[i][j] = len(co_augmenting_paths(g, m, i, j))
-    return counts

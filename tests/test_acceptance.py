@@ -11,8 +11,6 @@ import random
 import time
 from pathlib import Path
 
-import numpy as np
-
 import hermix.cli as cli
 from hermix import (
     CyclotomicContext,
@@ -22,17 +20,13 @@ from hermix import (
     check_her,
     classify_entry,
     classify_gamma_similarity,
-    coaug_count_matrix,
     co_augmenting_paths,
-    det_leibniz,
     det_via_elementary,
     ensure_class_h,
-    exhaustive_diag_similarity,
     h_alpha_matrix,
     inverse_bipartite_upm,
     inverse_entry_general,
     numeric_inverse,
-    orient_nonmatching,
     peg_info,
     two_peg_entry,
 )
@@ -61,6 +55,11 @@ def report(number: int, label: str, ok: bool) -> None:
     assert ok, line
 
 
+def passes(facts: cli.GraphFacts, *names: str) -> bool:
+    """Do these checks of `hermix check` all run, none skipped, and pass?"""
+    return all(cli.run_check(name, facts) == "pass" for name in names)
+
+
 def test_criterion_01_determinant_triple_agreement():
     started = time.monotonic()
     rng = random.Random(101)
@@ -68,12 +67,8 @@ def test_criterion_01_determinant_triple_agreement():
     ok = True
     for x in graphs:
         for order in (2, 3, 4, 10):
-            ctx = CyclotomicContext(order)
-            h = h_alpha_matrix(x, ctx)
-            exact = det_via_elementary(x, ctx)
-            ok = ok and exact == det_leibniz(h)
-            numeric = complex(np.linalg.det(h.to_complex()))
-            ok = ok and abs(exact.to_complex() - numeric) <= NUMERIC_TOL
+            facts = cli.GraphFacts(x, CyclotomicContext(order))
+            ok = ok and passes(facts, "det_elementary_vs_leibniz", "det_elementary_vs_numeric")
     elapsed = time.monotonic() - started
     ok = ok and elapsed <= 60.0
     report(1, f"determinant triple agreement, 100 graphs x 4 orders ({elapsed:.1f}s)", ok)
@@ -90,9 +85,7 @@ def test_criterion_02_class_determinant_law():
     ctx = CyclotomicContext(3)
     ok = True
     for doc in _exactness_corpus():
-        x = doc.to_graph()
-        want = ctx.from_rational(1 if (x.n // 2) % 2 == 0 else -1)
-        ok = ok and det_via_elementary(x, ctx) == want
+        ok = ok and passes(cli.GraphFacts(doc.to_graph(), ctx), "det_sign_law")
     # eight-vertex desk instance whose determinant is exactly 1
     ctx10 = CyclotomicContext(10)
     ok = ok and det_via_elementary(pentagon_tail(), ctx10) == ctx10.one()
@@ -103,20 +96,9 @@ def test_criterion_03_inverse_exactness():
     ctx = CyclotomicContext(3)
     ok = True
     for doc in _exactness_corpus():
-        x = doc.to_graph()
-        h = h_alpha_matrix(x, ctx)
-        inv = inverse_bipartite_upm(x, ctx).matrix
-        product = h.multiply(inv)
-        one, zero = ctx.one(), ctx.zero()
-        ok = ok and all(
-            product[i][j] == (one if i == j else zero)
-            for i in range(x.n)
-            for j in range(x.n)
-        )
-        ok = ok and all(inv.entry(i, i).is_zero() for i in range(x.n))
-        diff = np.abs(inv.to_complex() - numeric_inverse(h)).max()
-        ok = ok and diff <= NUMERIC_TOL
-    report(3, "exact H * inverse = I, zero diagonal, numeric agreement <= 1e-9", ok)
+        facts = cli.GraphFacts(doc.to_graph(), ctx)
+        ok = ok and passes(facts, "inverse_identity", "inverse_zero_diagonal", "inverse_vs_numeric")
+    report(3, "exact inverse * H = I, zero diagonal, numeric agreement <= 1e-9", ok)
 
 
 def test_criterion_04_general_formula_agreement():
@@ -159,17 +141,15 @@ def test_criterion_05_path_count_triple_agreement():
     docs += h_corpus(50, sizes=(6, 8, 10, 12), unicyclic=True, seed0=1600)
     ok = len(docs) == 100
     for doc in docs:
-        g = doc.to_graph().underlying()
-        m = ensure_class_h(g)
-        counts = coaug_count_matrix(g, m)
-        inv = inverse_bipartite_upm(orient_nonmatching(g, m), ctx2).matrix
-        for i in range(g.n):
-            for j in range(g.n):
-                if i == j:
-                    ok = ok and counts[i][j] == 0
-                    continue
-                ok = ok and counts[i][j] == len(coaug_paths_oracle(g, m, i, j))
-                ok = ok and inv.entry(i, j) == ctx2.from_rational(counts[i][j])
+        facts = cli.GraphFacts(doc.to_graph().underlying(), ctx2)
+        ok = ok and passes(facts, "coaugmenting_counts")
+        g, m = facts.x, facts.matching
+        ok = ok and all(
+            len(co_augmenting_paths(g, m, i, j)) == len(coaug_paths_oracle(g, m, i, j))
+            for i in range(g.n)
+            for j in range(g.n)
+            if i != j
+        )
     report(5, "co-augmenting counts = oracle enumeration = order-2 inverse, 100 instances", ok)
 
 
@@ -214,26 +194,9 @@ def test_criterion_07_peg_path_structure():
     ]
     while len(graphs) < 100:
         graphs.append(two_peg_instance(3, 3, 9000 + len(graphs)))
-    ok = True
-    violations = 0
-    for x in graphs[:100]:
-        m = ensure_class_h(x)
-        info = peg_info(x, m)
-        peg_edges = {tuple(sorted(e)) for e in info.pegs}
-        for i in range(x.n):
-            for j in range(i + 1, x.n):
-                paths = co_augmenting_paths(x, m, i, j)
-                if len(info.pegs) > 2 and len(paths) > 1:
-                    violations += 1
-                if len(info.pegs) == 2 and len(paths) == 2:
-                    for path in paths:
-                        steps = {
-                            (min(u, v), max(u, v)) for u, v in zip(path, path[1:])
-                        }
-                        if not peg_edges <= steps:
-                            violations += 1
-    ok = ok and violations == 0
-    report(7, f"peg structure on 100 unicyclic instances ({violations} violations)", ok)
+    ctx = CyclotomicContext(3)
+    failing = sum(not passes(cli.GraphFacts(x, ctx), "peg_structure") for x in graphs[:100])
+    report(7, f"peg structure on 100 unicyclic instances ({failing} failing)", failing == 0)
 
 
 def test_criterion_08_two_peg_closed_form():
@@ -290,15 +253,14 @@ def test_criterion_09_similarity_decision_vs_exhaustive():
     outcomes = {"similar": 0}
     ok = True
     for x in graphs:
+        # the decision against exhaustive search; the certificate and tallies here
+        ok = ok and passes(cli.GraphFacts(x, ctx), "similarity_vs_exhaustive")
         verdict = classify_gamma_similarity(x)
-        found = exhaustive_diag_similarity(inverse_bipartite_upm(x, ctx).matrix)
         if isinstance(verdict, Similar):
             outcomes["similar"] += 1
-            ok = ok and found is not None
             ok = ok and verdict.conjugated == h_alpha_matrix(verdict.graph, ctx)
             ok = ok and verdict.signs.signs[verdict.signs.basepoint] == 1
         else:
-            ok = ok and found is None
             key = verdict.reason.value
             outcomes[key] = outcomes.get(key, 0) + 1
     ok = ok and outcomes["similar"] > 0
@@ -311,7 +273,7 @@ def test_criterion_09_similarity_decision_vs_exhaustive():
 
 def test_criterion_10_cli_golden_stability():
     ok = True
-    for command in ("det", "inverse", "classify"):
+    for command in ("det", "inverse", "classify", "check"):
         for name in DESK_NAMES:
             runs = []
             for _ in range(2):
@@ -324,4 +286,4 @@ def test_criterion_10_cli_golden_stability():
             ok = ok and runs[0] == runs[1]
             golden = (GOLDEN / f"{command}_{name}.txt").read_text()
             ok = ok and runs[0] == golden
-    report(10, "det/inverse/classify byte-identical to goldens on the five desk graphs", ok)
+    report(10, "det/inverse/classify/check byte-identical to goldens on the five desk graphs", ok)

@@ -54,6 +54,7 @@ def test_det_unparsable_document_exit_2(tmp_path):
     for content in (
         b'{"n": 2, "digons": [[0, 1]]}',  # no arcs, no alpha_order
         b"\xff\xfe{",  # not UTF-8
+        b"[" * 100_000 + b"]" * 100_000,  # nested deeper than the recursion limit
     ):
         bad.write_bytes(content)
         code, out, err = run_cli(["det", str(bad)])
@@ -100,10 +101,11 @@ def test_internal_invariant_failure_exit_3(monkeypatch):
         raise InternalCheckFailed("synthetic")
 
     monkeypatch.setattr(cli, "classify_gamma_similarity", boom)
-    code, out, err = run_cli(["classify", str(DATA / "c4_four_pendants.json")])
-    assert code == 3
-    assert out == ""
-    assert err == "error: InternalCheckFailed: synthetic\n"
+    for command in ("classify", "check"):  # check prints nothing until every check has run
+        code, out, err = run_cli([command, str(DATA / "c4_four_pendants.json")])
+        assert code == 3
+        assert out == ""
+        assert err == "error: InternalCheckFailed: synthetic\n"
 
 
 def test_inverse_paths_listing():
@@ -136,6 +138,17 @@ def test_check_desk_document_all_pass():
     lines = out.splitlines()
     assert lines[-1] == "result: ok (10 checks)"
     assert all(line.endswith(": pass") for line in lines[:-1])
+
+
+def test_check_reports_a_failing_check(monkeypatch):
+    applies, _ = cli.CHECKS["inverse_vs_numeric"]
+    monkeypatch.setitem(cli.CHECKS, "inverse_vs_numeric", (applies, lambda facts: False))
+    code, out, err = run_cli(["check", str(DATA / "c6_two_pendants.json")])
+    lines = out.splitlines()
+    assert (code, err, len(lines)) == (3, "", 11)
+    assert lines[5] == "inverse_vs_numeric: fail"
+    assert sum(line.endswith(": pass") for line in lines) == 9
+    assert lines[-1] == "result: FAILED (1 of 10)"
 
 
 def test_check_skips_outside_class(tmp_path):
@@ -221,6 +234,8 @@ def test_parse_error_details():
         ('{"n": 2, "digons": [], "arcs": [], "alpha_order": true}', "alpha_order"),
         ('{"n": 2, "digons": [[false, true]], "arcs": [], "alpha_order": 3}', "pair"),
         ('{"n": 2, "digons": [], "arcs": [[0, true]], "alpha_order": 3}', "pair"),
+        # CyclotomicContext would tabulate an order x phi(order) table
+        ('{"n": 2, "digons": [], "arcs": [], "alpha_order": 1001}', "'alpha_order'.* 1 to 1000"),
     ):
         with pytest.raises(ParseError, match=field):
             parse_graph(doc)

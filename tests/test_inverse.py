@@ -12,7 +12,7 @@ from hermix import (
     NotInClassH,
     SameVertex,
     SingularMatrix,
-    coaug_count_matrix,
+    co_augmenting_paths,
     det_via_elementary,
     ensure_class_h,
     h_alpha_matrix,
@@ -162,15 +162,10 @@ def test_coaug_counts_equal_order_two_inverse():
     for doc in h_corpus(12, sizes=(6, 8, 10), unicyclic=True, seed0=1000):
         g = doc.to_graph().underlying()
         m = ensure_class_h(g)
-        counts = coaug_count_matrix(g, m)
         ctx2 = CyclotomicContext(2)
         inv = inverse_bipartite_upm(orient_nonmatching(g, m), ctx2).matrix
         for i in range(g.n):
+            assert inv.entry(i, i) == 0
             for j in range(g.n):
-                assert inv.entry(i, j) == counts[i][j]
-
-
-def test_coaug_count_matrix_validates_matching():
-    g = p4()
-    with pytest.raises(InvalidParameter):
-        coaug_count_matrix(g, Matching([(1, 2)]))
+                if i != j:
+                    assert inv.entry(i, j) == len(co_augmenting_paths(g, m, i, j))
