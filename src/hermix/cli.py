@@ -201,7 +201,7 @@ def coaugmenting_counts(f: GraphFacts) -> bool:
 def peg_structure(f: GraphFacts) -> bool:
     """At least two pegs. With more than two, no pair has two co-augmenting
     paths; with exactly two, each path of such a pair runs over both pegs."""
-    pegs = set(peg_info(f.x, f.matching).pegs)
+    pegs = set(peg_info(f.x).pegs)
     bags = f.report.contributions.values()
     if len(pegs) > 2:
         return all(len(bag) <= 1 for bag in bags)

@@ -39,14 +39,19 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     """Coefficients, low to high, of the n-th cyclotomic polynomial Phi_n."""
     if n < 1:
         raise ValueError("order must be a positive integer")
-    if n == 1:
-        return (-1, 1)
-    num = [0] * (n + 1)
-    num[0], num[n] = -1, 1
-    for d in range(1, n):
-        if n % d == 0:
-            num = _poly_div_exact(num, cyclotomic_polynomial(d))
-    return tuple(num)
+    # Phi_k = (x^k - 1) / (Phi_d for every proper divisor d of k), built for
+    # the divisors k of n in increasing order
+    phi: dict[int, tuple[int, ...]] = {}
+    for k in range(1, n + 1):
+        if n % k:
+            continue
+        num = [0] * (k + 1)
+        num[0], num[k] = -1, 1
+        for d, den in phi.items():
+            if k % d == 0:
+                num = _poly_div_exact(num, den)
+        phi[k] = tuple(num)
+    return phi[n]
 
 
 class CyclotomicContext:

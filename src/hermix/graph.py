@@ -154,22 +154,34 @@ def enumerate_paths(x: MixedGraph, i: int, j: int) -> list[tuple[int, ...]]:
     x.check_vertex(j)
     if i == j:
         raise SameVertex(f"need two distinct endpoints, got {i} twice")
+    return simple_paths(x.adjacency, i, j, bytearray(x.n))
+
+
+def simple_paths(adj, start, target, blocked) -> list[tuple[int, ...]]:
+    """Every path start..target with no repeated inner vertex and none blocked,
+    in lexicographic order; with target == start, the closed walks through start.
+
+    ``blocked[v]`` is nonzero for a vertex the walk may not enter, and must be
+    zero at start. Depth-first over an explicit stack of neighbour iterators;
+    the walk marks its own vertices in ``blocked`` and clears them on the way
+    back, so ``blocked`` is as it was when this returns.
+    """
     out: list[tuple[int, ...]] = []
-    path = [i]
-    on_path = {i}
-
-    def walk(cur: int) -> None:
-        for w in x.neighbors(cur):
-            if w == j:
-                out.append(tuple(path) + (j,))
-            elif w not in on_path:
+    path = [start]
+    blocked[start] = 1
+    stack = [iter(adj[start])]
+    while stack:
+        for w in stack[-1]:
+            if w == target:
+                out.append((*path, w))
+            elif not blocked[w]:
+                blocked[w] = 1
                 path.append(w)
-                on_path.add(w)
-                walk(w)
-                on_path.remove(w)
-                path.pop()
-
-    walk(i)
+                stack.append(iter(adj[w]))
+                break
+        else:
+            stack.pop()
+            blocked[path.pop()] = 0
     return out
 
 
@@ -234,16 +246,6 @@ class Cycle:
 
     def closed_walk(self) -> tuple[int, ...]:
         return self.vertices + (self.vertices[0],)
-
-
-def canonical_cycle(vertices: Iterable[int]) -> Cycle:
-    """Rotate/reflect a cyclic vertex sequence into canonical form."""
-    vs = list(vertices)
-    k = vs.index(min(vs))
-    vs = vs[k:] + vs[:k]
-    if len(vs) > 2 and vs[-1] < vs[1]:
-        vs = [vs[0]] + vs[:0:-1]
-    return Cycle(tuple(vs))
 
 
 def unique_cycle(x: MixedGraph) -> Cycle:

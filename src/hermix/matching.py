@@ -72,30 +72,6 @@ def bipartition(x: MixedGraph) -> tuple[frozenset[int], frozenset[int]]:
     return side0, side1
 
 
-def find_perfect_matching(x: MixedGraph) -> Matching | None:
-    """Maximum matching by augmenting-path search; None when not perfect."""
-    left, _ = bipartition(x)
-    match: dict[int, int] = {}
-
-    def augment(v: int, seen: set[int]) -> bool:
-        for w in x.neighbors(v):
-            if w in seen:
-                continue
-            seen.add(w)
-            if w not in match or augment(match[w], seen):
-                match[w] = v
-                match[v] = w
-                return True
-        return False
-
-    for v in sorted(left):
-        if v not in match:
-            augment(v, set())
-    if len(match) != x.n:
-        return None
-    return Matching((v, w) for v, w in match.items() if v < w)
-
-
 def unique_perfect_matching(x: MixedGraph) -> Matching | None:
     """Pendant elimination: peel degree-1 vertices with their forced partners.
 
@@ -142,62 +118,15 @@ def ensure_class_h(x: MixedGraph) -> Matching:
     return m
 
 
-def has_alternating_cycle(x: MixedGraph, m: Matching) -> bool:
-    """Does some cycle alternate between matching and non-matching edges?
-
-    Uses the one-side transition digraph: for a non-matching edge {a, b} with
-    a in the first color class, add arc a -> partner(b). A directed cycle there
-    is exactly an alternating cycle of the graph.
-    """
-    if not m.covers(x.n):
-        raise NotPerfect("matching does not cover every vertex")
-    left, _ = bipartition(x)
-    succ: dict[int, list[int]] = {v: [] for v in left}
-    for u, v in x.underlying_edges():
-        if (u, v) in m:
-            continue
-        a, b = (u, v) if u in left else (v, u)
-        succ[a].append(m.partner[b])
-    state = {v: 0 for v in left}  # 0 fresh, 1 on stack, 2 done
-    for root in sorted(left):
-        if state[root]:
-            continue
-        stack = [(root, iter(sorted(succ[root])))]
-        state[root] = 1
-        while stack:
-            v, it = stack[-1]
-            advanced = False
-            for w in it:
-                if state[w] == 1:
-                    return True
-                if state[w] == 0:
-                    state[w] = 1
-                    stack.append((w, iter(sorted(succ[w]))))
-                    advanced = True
-                    break
-            if not advanced:
-                state[v] = 2
-                stack.pop()
-    return False
-
-
-def is_co_augmenting(path: tuple[int, ...], m: Matching) -> bool:
-    """Edges alternate in/out of the matching with both end edges matching."""
-    if len(path) < 2:
-        return False
-    steps = list(zip(path, path[1:]))
-    if len(steps) % 2 == 0:
-        return False
-    return all(((e in m) == (k % 2 == 0)) for k, e in enumerate(steps))
-
-
 def co_augmenting_paths(
     x: MixedGraph, m: Matching, i: int, j: int
 ) -> list[tuple[int, ...]]:
     """All co-augmenting i..j paths, lexicographic on vertex sequences.
 
-    The DFS carries the alternation state: the step leaving a vertex an odd
-    number of edges in must be its matching edge, so those steps are forced.
+    Depth-first over an explicit stack, one matching edge per level: the step
+    leaving a vertex an odd number of edges in must be its matching edge, so
+    each level tries the non-matching neighbours u and steps on to partner[u].
+    The path stays a union of matching edges, so partner[u] is new when u is.
     """
     x.check_vertex(i)
     x.check_vertex(j)
@@ -205,34 +134,35 @@ def co_augmenting_paths(
         raise SameVertex(f"need two distinct endpoints, got {i} twice")
     if not m.covers(x.n):
         raise NotPerfect("matching does not cover every vertex")
+    adj = x.adjacency
+    partner = m.partner
+    first = partner[i]
+    if first not in adj[i]:
+        return []
+    if first == j:
+        return [(i, j)]
     out: list[tuple[int, ...]] = []
-    path = [i]
-    on_path = {i}
-
-    def step(cur: int, need_matching: bool) -> None:
-        if need_matching:
-            w = m.partner[cur]
-            if w in on_path or not x.has_edge(cur, w):
-                return
-            if w == j:
-                out.append(tuple(path) + (j,))
-                return
-            path.append(w)
-            on_path.add(w)
-            step(w, False)
-            on_path.remove(w)
-            path.pop()
+    path = [i, first]
+    on_path = bytearray(x.n)
+    on_path[i] = on_path[first] = 1
+    stack = [iter(adj[first])]
+    while stack:
+        # one hop: a non-matching edge into u, then the forced matching edge to
+        # partner[u]; j is entered only by a matching edge, never passed through
+        for u in stack[-1]:
+            if on_path[u] or u == j:
+                continue
+            mate = partner[u]
+            if mate not in adj[u]:
+                continue
+            if mate == j:
+                out.append((*path, u, j))
+                continue
+            on_path[u] = on_path[mate] = 1
+            path += (u, mate)
+            stack.append(iter(adj[mate]))
+            break
         else:
-            mate = m.partner[cur]
-            for w in x.neighbors(cur):
-                # j can only be entered by a matching edge, and never passed through
-                if w == mate or w in on_path or w == j:
-                    continue
-                path.append(w)
-                on_path.add(w)
-                step(w, True)
-                on_path.remove(w)
-                path.pop()
-
-    step(i, True)
+            stack.pop()
+            on_path[path.pop()] = on_path[path.pop()] = 0
     return out

@@ -16,7 +16,7 @@ from .errors import (
     NotAWalk,
     NumericallySingular,
 )
-from .graph import Cycle, MixedGraph
+from .graph import Cycle, MixedGraph, simple_paths
 
 DEFAULT_LEIBNIZ_CAP = 10
 PIVOT_TOLERANCE = 1e-10
@@ -167,65 +167,45 @@ class ElementarySubgraph:
 def enumerate_spanning_elementary(x: MixedGraph) -> list[ElementarySubgraph]:
     """Every spanning subgraph whose components are single edges or cycles.
 
-    Recursion: cover the lowest uncovered vertex either by one incident edge or
-    by one cycle through it (cycles listed once, canonical direction).
+    Depth-first over an explicit stack, one component per level: each level
+    covers the lowest uncovered vertex v either by one incident edge or by one
+    cycle through v inside the uncovered region, and tries those choices in
+    turn. Each cycle is listed once, in its canonical direction.
     """
+    adj = x.adjacency
     covered = bytearray(x.n)
     out: list[ElementarySubgraph] = []
-    edges_acc: list[tuple[int, int]] = []
-    cycles_acc: list[Cycle] = []
-
-    def cycles_through(v: int) -> list[tuple[int, ...]]:
-        # simple cycles v..v of length >= 3 inside the uncovered region;
-        # requiring second < last keeps one traversal direction per cycle
-        found: list[tuple[int, ...]] = []
-        path = [v]
-        on_path = {v}
-
-        def crawl(cur: int) -> None:
-            for w in x.neighbors(cur):
-                if w == v:
-                    if len(path) >= 3 and path[1] < path[-1]:
-                        found.append(tuple(path))
-                    continue
-                if covered[w] or w in on_path:
-                    continue
-                path.append(w)
-                on_path.add(w)
-                crawl(w)
-                on_path.remove(w)
-                path.pop()
-
-        crawl(v)
-        return found
-
-    def cover(lowest_hint: int) -> None:
-        v = lowest_hint
+    chosen: list[tuple[int, ...]] = []  # per level: the edge or cycle tried now
+    stack = []
+    v = 0
+    while True:
         while v < x.n and covered[v]:
             v += 1
         if v == x.n:
-            out.append(
-                ElementarySubgraph(tuple(sorted(edges_acc)), tuple(cycles_acc))
-            )
-            return
-        for u in x.neighbors(v):
-            if not covered[u]:
-                covered[v] = covered[u] = 1
-                edges_acc.append((v, u) if v < u else (u, v))
-                cover(v + 1)
-                edges_acc.pop()
-                covered[v] = covered[u] = 0
-        for cyc in cycles_through(v):
-            for w in cyc:
-                covered[w] = 1
-            cycles_acc.append(Cycle(cyc))
-            cover(v + 1)
-            cycles_acc.pop()
-            for w in cyc:
+            edges = tuple(sorted(c for c in chosen if len(c) == 2))
+            cycles = tuple(Cycle(c) for c in chosen if len(c) > 2)
+            out.append(ElementarySubgraph(edges, cycles))
+        else:
+            parts = [(v, u) if v < u else (u, v) for u in adj[v] if not covered[u]]
+            # cycles through v are the closed walks v..v over three or more
+            # vertices; second < last keeps one traversal direction per cycle
+            walks = simple_paths(adj, v, v, covered)
+            parts += [c[:-1] for c in walks if len(c) > 3 and c[1] < c[-2]]
+            stack.append((v, iter(parts)))
+            chosen.append(())  # the new level has covered nothing yet
+        while stack:
+            v, parts = stack[-1]
+            for w in chosen.pop():
                 covered[w] = 0
-
-    cover(0)
-    return out
+            part = next(parts, None)
+            if part is not None:
+                for w in part:
+                    covered[w] = 1
+                chosen.append(part)
+                break
+            stack.pop()
+        else:
+            return out
 
 
 def det_via_elementary(x: MixedGraph, ctx: CyclotomicContext) -> CyclotomicNumber:

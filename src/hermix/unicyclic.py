@@ -45,10 +45,10 @@ class PegInfo:
     half_length: int
 
 
-def peg_info(x: MixedGraph, m: Matching) -> PegInfo:
-    certified = ensure_class_h(x)
-    if certified != m:
-        raise InvalidParameter("supplied matching is not the unique perfect matching")
+def peg_info(x: MixedGraph) -> PegInfo:
+    """Pegs and cycle counts of a unicyclic graph, after certifying it is in
+    class H (bipartite with a unique perfect matching)."""
+    m = ensure_class_h(x)
     cycle = unique_cycle(x)
     cyc_set = set(cycle.vertices)
     cyc_edges = set(cycle.edges)
@@ -141,7 +141,7 @@ def two_peg_entry(
     co-augmenting path sum.
     """
     m = ensure_class_h(x)
-    info = peg_info(x, m)
+    info = peg_info(x)
     if len(info.pegs) != 2:
         raise NotTwoPegs(f"graph has {len(info.pegs)} pegs, need exactly 2")
     paths = co_augmenting_paths(x, m, i, j)
@@ -269,8 +269,7 @@ def classify_gamma_similarity(x: MixedGraph, basepoint: int = 0):
     inverse can be genuinely Similar.
     """
     x.check_vertex(basepoint)
-    m = ensure_class_h(x)
-    info = peg_info(x, m)
+    info = peg_info(x)
     ctx = CyclotomicContext(3)
     report = inverse_bipartite_upm(x, ctx)
     entries = _signed_entries(report.matrix)

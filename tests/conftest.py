@@ -3,7 +3,8 @@
 The oracles re-derive answers by exhaustive enumeration with none of the
 library's pruning, so agreement is meaningful: perfect matchings by direct
 recursion, simple paths via networkx, elementary subgraphs by scanning every
-edge subset.
+edge subset. The matching, alternating-cycle, co-augmenting and
+canonical-cycle helpers below exist only for the tests; the package has none.
 """
 
 from __future__ import annotations
@@ -15,12 +16,13 @@ import networkx as nx
 from hypothesis import settings
 
 from hermix import (
+    Cycle,
     GraphDocument,
     Matching,
     MixedGraph,
-    canonical_cycle,
+    NotPerfect,
+    bipartition,
     generate_instance,
-    is_co_augmenting,
 )
 from hermix.errors import GenerationFailed
 
@@ -85,6 +87,12 @@ def c8_two_adjacent_pendants(cycle_arcs=()) -> MixedGraph:
     return MixedGraph(10, digons=digons, arcs=list(cycle_arcs))
 
 
+def deep_path(n: int = 2400) -> MixedGraph:
+    """The path 0-1-...-(n-1), long enough that a recursive walk along it
+    exceeds Python's default recursion limit of 1000."""
+    return MixedGraph(n, digons=[(k, k + 1) for k in range(n - 1)])
+
+
 def pentagon_tail() -> MixedGraph:
     """Non-bipartite, unique perfect matching, determinant 1 at any order.
 
@@ -117,6 +125,89 @@ def all_perfect_matchings(x: MixedGraph) -> list[frozenset]:
 
     grow(frozenset(range(x.n)), [])
     return out
+
+
+def find_perfect_matching(x: MixedGraph) -> Matching | None:
+    """Maximum matching by augmenting-path search; None when not perfect."""
+    left, _ = bipartition(x)
+    match: dict[int, int] = {}
+
+    def augment(v: int, seen: set[int]) -> bool:
+        for w in x.neighbors(v):
+            if w in seen:
+                continue
+            seen.add(w)
+            if w not in match or augment(match[w], seen):
+                match[w] = v
+                match[v] = w
+                return True
+        return False
+
+    for v in sorted(left):
+        if v not in match:
+            augment(v, set())
+    if len(match) != x.n:
+        return None
+    return Matching((v, w) for v, w in match.items() if v < w)
+
+
+def has_alternating_cycle(x: MixedGraph, m: Matching) -> bool:
+    """Does some cycle alternate between matching and non-matching edges?
+
+    Uses the one-side transition digraph: for a non-matching edge {a, b} with
+    a in the first color class, add arc a -> partner(b). A directed cycle there
+    is exactly an alternating cycle of the graph.
+    """
+    if not m.covers(x.n):
+        raise NotPerfect("matching does not cover every vertex")
+    left, _ = bipartition(x)
+    succ: dict[int, list[int]] = {v: [] for v in left}
+    for u, v in x.underlying_edges():
+        if (u, v) in m:
+            continue
+        a, b = (u, v) if u in left else (v, u)
+        succ[a].append(m.partner[b])
+    state = {v: 0 for v in left}  # 0 fresh, 1 on stack, 2 done
+    for root in sorted(left):
+        if state[root]:
+            continue
+        stack = [(root, iter(sorted(succ[root])))]
+        state[root] = 1
+        while stack:
+            v, it = stack[-1]
+            advanced = False
+            for w in it:
+                if state[w] == 1:
+                    return True
+                if state[w] == 0:
+                    state[w] = 1
+                    stack.append((w, iter(sorted(succ[w]))))
+                    advanced = True
+                    break
+            if not advanced:
+                state[v] = 2
+                stack.pop()
+    return False
+
+
+def is_co_augmenting(path: tuple[int, ...], m: Matching) -> bool:
+    """Edges alternate in/out of the matching with both end edges matching."""
+    if len(path) < 2:
+        return False
+    steps = list(zip(path, path[1:]))
+    if len(steps) % 2 == 0:
+        return False
+    return all(((e in m) == (k % 2 == 0)) for k, e in enumerate(steps))
+
+
+def canonical_cycle(vertices) -> Cycle:
+    """Rotate/reflect a cyclic vertex sequence into canonical form."""
+    vs = list(vertices)
+    k = vs.index(min(vs))
+    vs = vs[k:] + vs[:k]
+    if len(vs) > 2 and vs[-1] < vs[1]:
+        vs = [vs[0]] + vs[:0:-1]
+    return Cycle(tuple(vs))
 
 
 def to_networkx(x: MixedGraph) -> nx.Graph:

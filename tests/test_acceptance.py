@@ -162,11 +162,7 @@ def test_criterion_06_sign_assignment_conjugation():
         d.to_graph().underlying()
         for d in h_corpus(200, sizes=(8, 10, 12), unicyclic=True, seed0=2500)
     ]
-    even = [
-        g
-        for g in pool
-        if peg_info(g, ensure_class_h(g)).unmatched_cycle_edge_count % 2 == 0
-    ][:40]
+    even = [g for g in pool if peg_info(g).unmatched_cycle_edge_count % 2 == 0][:40]
     instances = trees + even
     ok = len(instances) == 100
     for g in instances:

@@ -304,6 +304,17 @@ def test_cli_module_runs_as_script():
     assert result.stdout == "det = -1 (-1)\n"
 
 
+def test_module_det_on_deep_path(tmp_path):
+    n = 2400  # deeper than the default recursion limit
+    doc = {"n": n, "digons": [[k, k + 1] for k in range(n - 1)], "arcs": [], "alpha_order": 3}
+    path = tmp_path / "path.json"
+    path.write_text(json.dumps(doc))
+    result = run_module("hermix", "det", str(path))
+    assert result.returncode == 0
+    assert result.stdout == "det = 1 (1)\n"
+    assert result.stderr == ""
+
+
 def test_module_exit_code_passes_through(tmp_path):
     result = run_module("hermix", "det", str(tmp_path / "nope.json"))
     assert result.returncode == 2
@@ -332,7 +343,7 @@ _documents = st.fixed_dictionaries(
 
 @settings(max_examples=200, suppress_health_check=[HealthCheck.too_slow])
 @given(
-    command=st.sampled_from(["det", "inverse", "classify"]),
+    command=st.sampled_from(["det", "inverse", "classify", "check"]),
     content=st.one_of(st.binary(max_size=64), _documents),
 )
 def test_fuzz_documents_exit_0_or_2(command, content):

@@ -10,14 +10,15 @@ from hermix import (
     NotUnicyclic,
     SameVertex,
     SelfLoop,
-    canonical_cycle,
     enumerate_paths,
     remove_vertices,
     unique_cycle,
 )
 
 from conftest import (
+    canonical_cycle,
     c6_two_pendants,
+    deep_path,
     p4,
     pentagon_tail,
     random_mixed_graph,
@@ -91,6 +92,11 @@ def test_enumerate_paths_against_networkx():
         x = random_mixed_graph(rng, n)
         i, j = rng.sample(range(n), 2)
         assert enumerate_paths(x, i, j) == simple_paths_oracle(x, i, j)
+
+
+def test_enumerate_paths_deep_path():
+    x = deep_path()
+    assert enumerate_paths(x, 0, x.n - 1) == [tuple(range(x.n))]
 
 
 def test_enumerate_paths_rejects_equal_endpoints():

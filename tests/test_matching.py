@@ -13,9 +13,6 @@ from hermix import (
     bipartition,
     co_augmenting_paths,
     ensure_class_h,
-    find_perfect_matching,
-    has_alternating_cycle,
-    is_co_augmenting,
     is_unique_perfect_matching,
     remove_vertices,
     unique_perfect_matching,
@@ -25,7 +22,11 @@ from conftest import (
     all_perfect_matchings,
     c6_two_pendants,
     coaug_paths_oracle,
+    deep_path,
+    find_perfect_matching,
+    has_alternating_cycle,
     h_corpus,
+    is_co_augmenting,
     k2_digon,
     p4,
     random_mixed_graph,
@@ -221,6 +222,12 @@ def test_co_augmenting_paths_matched_pair_is_single_edge():
     m = ensure_class_h(x)
     assert co_augmenting_paths(x, m, 0, 1) == [(0, 1)]
     assert co_augmenting_paths(x, m, 1, 0) == [(1, 0)]
+
+
+def test_co_augmenting_paths_deep_path():
+    x = deep_path()
+    m = ensure_class_h(x)
+    assert co_augmenting_paths(x, m, 0, x.n - 1) == [tuple(range(x.n))]
 
 
 def test_co_augmenting_paths_argument_errors():

@@ -6,6 +6,7 @@ import pytest
 
 from hermix import (
     ContextMismatch,
+    ElementarySubgraph,
     CyclotomicContext,
     DimensionTooLarge,
     ExactHermitianMatrix,
@@ -21,6 +22,7 @@ from hermix import (
 )
 
 from conftest import (
+    deep_path,
     k2_arc,
     k2_digon,
     library_elementary_canonical,
@@ -102,6 +104,12 @@ def test_spanning_elementary_edge_cases():
     assert len(empty) == 1 and empty[0].edges == () and empty[0].cycles == ()
     isolated = enumerate_spanning_elementary(MixedGraph(3, digons=[(0, 1)]))
     assert isolated == []
+
+
+def test_spanning_elementary_deep_path():
+    x = deep_path()
+    matching = tuple((k, k + 1) for k in range(0, x.n, 2))
+    assert enumerate_spanning_elementary(x) == [ElementarySubgraph(matching, ())]
 
 
 def test_hexagon_has_three_spanning_elementary():

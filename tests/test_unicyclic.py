@@ -51,36 +51,31 @@ from conftest import (
 
 def test_peg_info_desk_graphs():
     x = c6_two_pendants()
-    info = peg_info(x, ensure_class_h(x))
+    info = peg_info(x)
     assert info.pegs == ((0, 6), (3, 7))
     assert info.cycle_vertices == (0, 1, 2, 3, 4, 5)
     assert info.unmatched_cycle_edge_count == 4
     assert info.half_length == 3
 
     y = c4_four_pendants()
-    info = peg_info(y, ensure_class_h(y))
+    info = peg_info(y)
     assert len(info.pegs) == 4
     assert info.unmatched_cycle_edge_count == 4
     assert info.half_length == 2
 
     z = c6_four_pendants()
-    info = peg_info(z, ensure_class_h(z))
+    info = peg_info(z)
     assert len(info.pegs) == 4
     assert info.unmatched_cycle_edge_count == 5
 
     w = c8_two_adjacent_pendants()
-    info = peg_info(w, ensure_class_h(w))
+    info = peg_info(w)
     assert info.pegs == ((0, 8), (1, 9))
     assert info.half_length == 4
     assert info.unmatched_cycle_edge_count == 5
 
-
-def test_peg_info_validates_matching():
-    from hermix import Matching
-
-    x = c6_two_pendants()
-    with pytest.raises(InvalidParameter):
-        peg_info(x, Matching([(0, 1)]))
+    with pytest.raises(NotInClassH):
+        peg_info(MixedGraph(4, digons=[(0, 1), (1, 2), (2, 3), (0, 3)]))  # two matchings
 
 
 def test_f_walk_signs_flip_on_unmatched_edges():
@@ -139,8 +134,7 @@ def test_check_her_on_trees_and_even_unicyclic():
     even_unicyclic = []
     for doc in h_corpus(40, sizes=(8, 10, 12), unicyclic=True, seed0=1300):
         g = doc.to_graph().underlying()
-        m = ensure_class_h(g)
-        if peg_info(g, m).unmatched_cycle_edge_count % 2 == 0:
+        if peg_info(g).unmatched_cycle_edge_count % 2 == 0:
             even_unicyclic.append(doc)
     assert len(even_unicyclic) >= 5
     for doc in docs + even_unicyclic[:15]:
