@@ -23,7 +23,12 @@ from .errors import (
     ParseError,
 )
 from .graph import MixedGraph, unique_cycle
-from .inverse import inverse_bipartite_upm, inverse_entry_general, orient_nonmatching
+from .inverse import (
+    _inverse_upm,
+    inverse_bipartite_upm,
+    inverse_entry_general,
+    orient_nonmatching,
+)
 from .matching import ensure_class_h
 from .spectral import (
     ExactHermitianMatrix,
@@ -36,9 +41,9 @@ from .spectral import (
 from .unicyclic import (
     NotSimilar,
     Similar,
+    _peg_info,
     classify_gamma_similarity,
     exhaustive_diag_similarity,
-    peg_info,
 )
 
 NUMERIC_AGREEMENT = 1e-9
@@ -127,7 +132,7 @@ class GraphFacts:
             self.matching = ensure_class_h(x)
         except NotInClassH:
             self.matching = None
-        self.report = None if self.matching is None else inverse_bipartite_upm(x, ctx)
+        self.report = None if self.matching is None else _inverse_upm(x, ctx, self.matching)
         try:
             self.unicyclic = unique_cycle(x) is not None
         except NotUnicyclic:
@@ -188,8 +193,10 @@ def inverse_vs_general_formula(f: GraphFacts) -> bool:
 def coaugmenting_counts(f: GraphFacts) -> bool:
     """With every non-matching edge oriented, the order-2 inverse counts the
     co-augmenting paths behind each entry."""
+    # orienting edges keeps the underlying graph, so f.matching stays its
+    # unique perfect matching
     oriented = orient_nonmatching(f.x.underlying(), f.matching)
-    counts = inverse_bipartite_upm(oriented, CyclotomicContext(2)).matrix
+    counts = _inverse_upm(oriented, CyclotomicContext(2), f.matching).matrix
     return all(
         counts.entry(i, j) == len(f.report.contributions.get((i, j), ()))
         for i in range(f.x.n)
@@ -201,7 +208,7 @@ def coaugmenting_counts(f: GraphFacts) -> bool:
 def peg_structure(f: GraphFacts) -> bool:
     """At least two pegs. With more than two, no pair has two co-augmenting
     paths; with exactly two, each path of such a pair runs over both pegs."""
-    pegs = set(peg_info(f.x).pegs)
+    pegs = set(_peg_info(f.x, f.matching).pegs)
     bags = f.report.contributions.values()
     if len(pegs) > 2:
         return all(len(bag) <= 1 for bag in bags)
@@ -216,7 +223,7 @@ def peg_structure(f: GraphFacts) -> bool:
 @_check(lambda f: f.report is not None and f.unicyclic and f.x.n <= 16)
 def similarity_vs_exhaustive(f: GraphFacts) -> bool:
     verdict = classify_gamma_similarity(f.x)
-    order3 = f.report if f.ctx.order == 3 else inverse_bipartite_upm(f.x, CyclotomicContext(3))
+    order3 = f.report if f.ctx.order == 3 else _inverse_upm(f.x, CyclotomicContext(3), f.matching)
     found = exhaustive_diag_similarity(order3.matrix)
     return isinstance(verdict, Similar) == (found is not None)
 

@@ -218,6 +218,8 @@ class CyclotomicNumber:
 
     def conj(self) -> "CyclotomicNumber":
         """Complex conjugate: alpha maps to alpha^(n-1)."""
+        if self.is_rational():
+            return self
         ctx = self.ctx
         n = ctx.order
         out = [Fraction(0)] * ctx.degree

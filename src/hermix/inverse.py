@@ -62,26 +62,28 @@ def inverse_bipartite_upm(x: MixedGraph, ctx: CyclotomicContext) -> InverseRepor
     Entry (i, j), i != j, is the sum over co-augmenting i..j paths P of
     (-1)^((|E(P)|-1)/2) * h_alpha(P); diagonal entries are exactly zero.
     """
-    m = ensure_class_h(x)
+    return _inverse_upm(x, ctx, ensure_class_h(x))
+
+
+def _inverse_upm(x: MixedGraph, ctx: CyclotomicContext, m: Matching) -> InverseReport:
+    # m must be the certified unique perfect matching of x; one path
+    # enumeration per source i gives row i
     zero = ctx.zero()
     contributions: dict[tuple[int, int], tuple[tuple[tuple[int, ...], int], ...]] = {}
     rows = []
     for i in range(x.n):
-        row = []
+        bags = [[] for _ in range(x.n)]
+        acc = [zero] * x.n
+        for path in co_augmenting_paths(x, m, i):
+            j = path[-1]
+            sign = _coaug_sign(path)
+            value = walk_value(x, ctx, path)
+            acc[j] = acc[j] + (value if sign == 1 else -value)
+            bags[j].append((path, sign))
         for j in range(x.n):
-            if i == j:
-                row.append(zero)
-                continue
-            acc = zero
-            bag = []
-            for path in co_augmenting_paths(x, m, i, j):
-                sign = _coaug_sign(path)
-                value = walk_value(x, ctx, path)
-                acc = acc + (value if sign == 1 else -value)
-                bag.append((path, sign))
-            contributions[(i, j)] = tuple(bag)
-            row.append(acc)
-        rows.append(row)
+            if j != i:
+                contributions[(i, j)] = tuple(bags[j])
+        rows.append(acc)
     return InverseReport(ExactHermitianMatrix(ctx, rows), contributions)
 
 

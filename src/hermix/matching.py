@@ -36,7 +36,8 @@ class Matching:
         self.partner = partner
 
     def covers(self, n: int) -> bool:
-        return len(self.partner) == n
+        """Is this a perfect matching of the vertex set 0..n-1?"""
+        return len(self.partner) == n and all(0 <= v < n for v in self.partner)
 
     def __contains__(self, edge) -> bool:
         u, v = edge
@@ -119,19 +120,25 @@ def ensure_class_h(x: MixedGraph) -> Matching:
 
 
 def co_augmenting_paths(
-    x: MixedGraph, m: Matching, i: int, j: int
+    x: MixedGraph, m: Matching, i: int, j: int | None = None
 ) -> list[tuple[int, ...]]:
     """All co-augmenting i..j paths, lexicographic on vertex sequences.
+
+    With ``j`` omitted, every co-augmenting path that starts at ``i``, in the
+    same order; grouped by endpoint, that is the i..j list for every j.
 
     Depth-first over an explicit stack, one matching edge per level: the step
     leaving a vertex an odd number of edges in must be its matching edge, so
     each level tries the non-matching neighbours u and steps on to partner[u].
     The path stays a union of matching edges, so partner[u] is new when u is.
+    Every level ends on a matching edge, so the path so far is itself a
+    co-augmenting path from i.
     """
     x.check_vertex(i)
-    x.check_vertex(j)
-    if i == j:
-        raise SameVertex(f"need two distinct endpoints, got {i} twice")
+    if j is not None:
+        x.check_vertex(j)
+        if i == j:
+            raise SameVertex(f"need two distinct endpoints, got {i} twice")
     if not m.covers(x.n):
         raise NotPerfect("matching does not cover every vertex")
     adj = x.adjacency
@@ -141,7 +148,7 @@ def co_augmenting_paths(
         return []
     if first == j:
         return [(i, j)]
-    out: list[tuple[int, ...]] = []
+    out: list[tuple[int, ...]] = [] if j is not None else [(i, first)]
     path = [i, first]
     on_path = bytearray(x.n)
     on_path[i] = on_path[first] = 1
@@ -160,6 +167,8 @@ def co_augmenting_paths(
                 continue
             on_path[u] = on_path[mate] = 1
             path += (u, mate)
+            if j is None:
+                out.append(tuple(path))
             stack.append(iter(adj[mate]))
             break
         else:

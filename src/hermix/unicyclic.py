@@ -25,7 +25,7 @@ from .errors import (
     OddCycleParity,
 )
 from .graph import MixedGraph, balance, unique_cycle
-from .inverse import _coaug_sign, inverse_bipartite_upm, orient_nonmatching
+from .inverse import _coaug_sign, _inverse_upm, orient_nonmatching
 from .matching import Matching, co_augmenting_paths, ensure_class_h
 from .spectral import ExactHermitianMatrix, h_alpha_matrix, walk_value
 
@@ -48,7 +48,11 @@ class PegInfo:
 def peg_info(x: MixedGraph) -> PegInfo:
     """Pegs and cycle counts of a unicyclic graph, after certifying it is in
     class H (bipartite with a unique perfect matching)."""
-    m = ensure_class_h(x)
+    return _peg_info(x, ensure_class_h(x))
+
+
+def _peg_info(x: MixedGraph, m: Matching) -> PegInfo:
+    # m must be the certified unique perfect matching of x
     cycle = unique_cycle(x)
     cyc_set = set(cycle.vertices)
     cyc_edges = set(cycle.edges)
@@ -141,7 +145,7 @@ def two_peg_entry(
     co-augmenting path sum.
     """
     m = ensure_class_h(x)
-    info = peg_info(x)
+    info = _peg_info(x, m)
     if len(info.pegs) != 2:
         raise NotTwoPegs(f"graph has {len(info.pegs)} pegs, need exactly 2")
     paths = co_augmenting_paths(x, m, i, j)
@@ -269,9 +273,10 @@ def classify_gamma_similarity(x: MixedGraph, basepoint: int = 0):
     inverse can be genuinely Similar.
     """
     x.check_vertex(basepoint)
-    info = peg_info(x)
+    m = ensure_class_h(x)
+    info = _peg_info(x, m)
     ctx = CyclotomicContext(3)
-    report = inverse_bipartite_upm(x, ctx)
+    report = _inverse_upm(x, ctx, m)
     entries = _signed_entries(report.matrix)
     signs = None
     if entries is not None:

@@ -140,6 +140,27 @@ def test_check_desk_document_all_pass():
     assert all(line.endswith(": pass") for line in lines[:-1])
 
 
+def test_class_h_certified_once_per_call(monkeypatch):
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return ensure_class_h(x)
+
+    # modules import each other's functions by name, so patch every holder
+    for module in list(sys.modules.values()):
+        name = getattr(module, "__name__", "")
+        if (name == "hermix" or name.startswith("hermix.")) and getattr(
+            module, "ensure_class_h", None
+        ) is ensure_class_h:
+            monkeypatch.setattr(module, "ensure_class_h", counted)
+    expected = {"inverse": 1, "classify": 1, "check": 2}
+    for command, count in expected.items():
+        calls.clear()
+        code, _, _ = run_cli([command, str(DATA / "c6_two_pendants.json")])
+        assert (command, code, len(calls)) == (command, 0, count)
+
+
 def test_check_reports_a_failing_check(monkeypatch):
     applies, _ = cli.CHECKS["inverse_vs_numeric"]
     monkeypatch.setitem(cli.CHECKS, "inverse_vs_numeric", (applies, lambda facts: False))

@@ -122,11 +122,13 @@ def test_complex_embedding_is_multiplicative(a):
 
 
 def test_power_conjugation_rule():
-    for order in (3, 4, 10):
+    for order in (1, 2, 3, 4, 5, 6, 7, 10):
         ctx = CyclotomicContext(order)
         for k in range(order):
             assert ctx.root_power(k).conj() == ctx.root_power((order - k) % order)
             assert ctx.root_power(k) * ctx.root_power(order - k) == 1
+        for q in (0, 1, -1, Fraction(-7, 3)):  # rationals are self-conjugate
+            assert ctx.from_rational(q).conj() == ctx.from_rational(q)
 
 
 def test_context_mismatch_is_rejected():

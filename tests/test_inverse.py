@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+import hermix.inverse as inverse
 from hermix import (
     CyclotomicContext,
     HasArcs,
@@ -70,17 +71,40 @@ def test_inverse_identity_and_zero_diagonal():
 
 
 def test_contributions_match_path_enumeration():
-    doc = h_corpus(1, sizes=(10,), unicyclic=True, seed0=700)[0]
-    x = doc.to_graph()
-    m = ensure_class_h(x)
-    ctx = CyclotomicContext(3)
-    report = inverse_bipartite_upm(x, ctx)
-    for (i, j), bag in report.contributions.items():
-        assert [p for p, _ in bag] == coaug_paths_oracle(x, m, i, j)
-        assert all(s in (1, -1) for _, s in bag)
-        # sign depends only on the edge count
-        for path, s in bag:
-            assert s == (-1) ** ((len(path) - 2) // 2)
+    docs = h_corpus(4, sizes=(10, 16, 20), unicyclic=True, seed0=700) + h_corpus(
+        3, sizes=(8, 14, 20), unicyclic=False, seed0=720
+    )
+    for doc in docs:
+        x = doc.to_graph()
+        m = ensure_class_h(x)
+        oracle = {
+            (i, j): coaug_paths_oracle(x, m, i, j)
+            for i in range(x.n)
+            for j in range(x.n)
+            if i != j
+        }
+        for order in range(2, 7):
+            report = inverse_bipartite_upm(x, CyclotomicContext(order))
+            assert list(report.contributions) == list(oracle)  # every ordered pair
+            for (i, j), bag in report.contributions.items():
+                assert [p for p, _ in bag] == oracle[(i, j)]
+                assert all(s in (1, -1) for _, s in bag)
+                # sign depends only on the edge count
+                for path, s in bag:
+                    assert s == (-1) ** ((len(path) - 2) // 2)
+
+
+def test_one_path_enumeration_per_source(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return co_augmenting_paths(*args)
+
+    monkeypatch.setattr(inverse, "co_augmenting_paths", counted)
+    doc = h_corpus(1, sizes=(20,), unicyclic=True, seed0=740)[0]
+    inverse_bipartite_upm(doc.to_graph(), CyclotomicContext(3))
+    assert len(calls) == doc.n == 20
 
 
 def test_general_formula_matches_closed_form_on_class_h():

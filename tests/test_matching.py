@@ -210,11 +210,16 @@ def test_co_augmenting_paths_against_filtered_enumeration():
         x = doc.to_graph()
         m = ensure_class_h(x)
         for i in range(x.n):
+            by_end = {j: [] for j in range(x.n) if j != i}
+            for path in co_augmenting_paths(x, m, i):
+                by_end[path[-1]].append(path)
             for j in range(x.n):
                 if i != j:
                     assert co_augmenting_paths(x, m, i, j) == coaug_paths_oracle(
                         x, m, i, j
                     )
+            # every path from i, in order, is the per-pair lists merged
+            assert by_end == {j: co_augmenting_paths(x, m, i, j) for j in by_end}
 
 
 def test_co_augmenting_paths_matched_pair_is_single_edge():
@@ -237,3 +242,10 @@ def test_co_augmenting_paths_argument_errors():
         co_augmenting_paths(x, m, 2, 2)
     with pytest.raises(NotPerfect):
         co_augmenting_paths(x, Matching([(0, 1)]), 0, 3)
+    # as many matched vertices as the graph has, but 5 is not one of them
+    k2, foreign = MixedGraph(2, digons=[(0, 1)]), Matching([(0, 5)])
+    assert not foreign.covers(2)
+    with pytest.raises(NotPerfect):
+        co_augmenting_paths(k2, foreign, 1, 0)
+    with pytest.raises(NotPerfect):
+        co_augmenting_paths(k2, foreign, 1)

@@ -38,6 +38,10 @@ def test_matrix_must_be_hermitian():
     a = ctx.root_power(1)
     with pytest.raises(ValueError):
         ExactHermitianMatrix(ctx, [[ctx.zero(), a], [a, ctx.zero()]])
+    # rational entries are their own conjugates, and asymmetry is still caught
+    for rational in ([[0, 1], [2, 0]], [[0, 1], [0, 0]]):
+        with pytest.raises(ValueError):
+            ExactHermitianMatrix(ctx, [[ctx.from_rational(q) for q in row] for row in rational])
     ExactHermitianMatrix(ctx, [[ctx.zero(), a], [a.conj(), ctx.zero()]])
 
 

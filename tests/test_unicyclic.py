@@ -286,13 +286,14 @@ def test_similarity_certificate_is_verified(monkeypatch):
         with pytest.raises(InternalCheckFailed, match="not an adjacency value"):
             classify_gamma_similarity(x)
 
-    def inverse_with_diagonal(g, ctx):
+    def inverse_with_diagonal(g, ctx, m):
         report = inverse_bipartite_upm(g, ctx)
         rows = [list(row) for row in report.matrix.rows]
         rows[0][0] = ctx.one()
         return InverseReport(ExactHermitianMatrix(ctx, rows), report.contributions)
 
-    monkeypatch.setattr(unicyclic, "inverse_bipartite_upm", inverse_with_diagonal)
+    # the classification builds its inverse from the matching it certified
+    monkeypatch.setattr(unicyclic, "_inverse_upm", inverse_with_diagonal)
     with pytest.raises(InternalCheckFailed):
         classify_gamma_similarity(x)
 
