@@ -146,32 +146,28 @@ def co_augmenting_paths(
     first = partner[i]
     if first not in adj[i]:
         return []
-    if first == j:
-        return [(i, j)]
-    out: list[tuple[int, ...]] = [] if j is not None else [(i, first)]
+    out: list[tuple[int, ...]] = [(i, first)]
     path = [i, first]
     on_path = bytearray(x.n)
     on_path[i] = on_path[first] = 1
     stack = [iter(adj[first])]
     while stack:
         # one hop: a non-matching edge into u, then the forced matching edge to
-        # partner[u]; j is entered only by a matching edge, never passed through
+        # partner[u]
         for u in stack[-1]:
-            if on_path[u] or u == j:
+            if on_path[u]:
                 continue
             mate = partner[u]
             if mate not in adj[u]:
                 continue
-            if mate == j:
-                out.append((*path, u, j))
-                continue
             on_path[u] = on_path[mate] = 1
             path += (u, mate)
-            if j is None:
-                out.append(tuple(path))
+            out.append(tuple(path))
             stack.append(iter(adj[mate]))
             break
         else:
             stack.pop()
             on_path[path.pop()] = on_path[path.pop()] = 0
+    if j is not None:
+        return [p for p in out if p[-1] == j]
     return out
