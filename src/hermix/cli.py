@@ -1,7 +1,8 @@
 """Command line interface: det, inverse, classify, check, gen.
 
 Exit codes: 0 success, 2 precondition violation (bad document, graph outside
-an operation's domain), 3 internal invariant failure.
+an operation's domain, input too large for memory), 3 internal invariant
+failure.
 """
 
 from __future__ import annotations
@@ -31,14 +32,15 @@ from .inverse import (
 )
 from .matching import ensure_class_h
 from .spectral import (
+    LEIBNIZ_CAP,
     ExactHermitianMatrix,
-    _leibniz_cap,
     det_leibniz,
     det_via_elementary,
     h_alpha_matrix,
     numeric_inverse,
 )
 from .unicyclic import (
+    EXHAUSTIVE_CAP,
     NotSimilar,
     Similar,
     _peg_info,
@@ -151,7 +153,7 @@ def _check(applies):
     return register
 
 
-@_check(lambda f: f.x.n <= _leibniz_cap(None))
+@_check(lambda f: f.x.n <= LEIBNIZ_CAP)
 def det_elementary_vs_leibniz(f: GraphFacts) -> bool:
     return f.det == det_leibniz(f.h)
 
@@ -220,7 +222,9 @@ def peg_structure(f: GraphFacts) -> bool:
     )
 
 
-@_check(lambda f: f.report is not None and f.unicyclic and f.x.n <= 16)
+@_check(
+    lambda f: f.report is not None and f.unicyclic and f.x.n <= EXHAUSTIVE_CAP
+)
 def similarity_vs_exhaustive(f: GraphFacts) -> bool:
     verdict = classify_gamma_similarity(f.x)
     order3 = f.report if f.ctx.order == 3 else _inverse_upm(f.x, CyclotomicContext(3), f.matching)
@@ -325,6 +329,11 @@ def main(argv=None, out=None, err=None) -> int:
         return 2
     except OSError as exc:
         print(f"error: {exc}", file=err)
+        return 2
+    except MemoryError as exc:
+        # a document too large for this machine is bad input, not a crash
+        reason = str(exc) or "the input does not fit in memory"
+        print(f"error: MemoryError: {reason}", file=err)
         return 2
 
 

@@ -10,6 +10,7 @@ Q[x]/(x^n - 1), so every nonzero element has an inverse.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -267,9 +268,7 @@ class CyclotomicNumber:
 
     def to_polynomial_string(self, symbol: str = "a") -> str:
         """Render as an integer polynomial in ``symbol`` over a common denominator."""
-        den = 1
-        for c in self.coeffs:
-            den = den * c.denominator // _gcd(den, c.denominator)
+        den = math.lcm(*(c.denominator for c in self.coeffs))
         terms = []
         for k, c in enumerate(self.coeffs):
             m = int(c * den)
@@ -293,12 +292,6 @@ class CyclotomicNumber:
                 text = f"({text})"
             text = f"{text}/{den}"
         return text
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 # polynomial helpers over Fraction lists (low-to-high, stripped)

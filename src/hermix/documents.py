@@ -46,18 +46,6 @@ class GraphDocument:
     def to_graph(self) -> MixedGraph:
         return MixedGraph(self.n, self.digons, self.arcs)
 
-    @classmethod
-    def from_graph(
-        cls, x: MixedGraph, alpha_order: int, labels=None
-    ) -> "GraphDocument":
-        return cls(
-            n=x.n,
-            digons=tuple(x.digons),
-            arcs=tuple(x.arcs),
-            alpha_order=alpha_order,
-            labels=labels,
-        )
-
 
 def parse_graph(text: str) -> GraphDocument:
     """Parse document text; ParseError carries a position or field diagnostic."""

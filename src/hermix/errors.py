@@ -62,7 +62,7 @@ class DimensionTooLarge(HermixError):
 
 
 class NumericallySingular(HermixError):
-    """Floating elimination hit a pivot below tolerance."""
+    """The floating inverse is singular or misses its residual tolerance."""
 
 
 class SingularMatrix(HermixError):

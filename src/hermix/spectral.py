@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -12,14 +11,12 @@ from .cyclotomic import CyclotomicContext, CyclotomicNumber
 from .errors import (
     ContextMismatch,
     DimensionTooLarge,
-    InvalidParameter,
     NotAWalk,
     NumericallySingular,
 )
 from .graph import Cycle, MixedGraph, simple_paths
 
-DEFAULT_LEIBNIZ_CAP = 10
-PIVOT_TOLERANCE = 1e-10
+LEIBNIZ_CAP = 10  # largest dimension det_leibniz expands
 RESIDUAL_TOLERANCE = 1e-9
 
 
@@ -152,16 +149,14 @@ class ElementarySubgraph:
         return 2 * len(self.edges) + sum(len(c) for c in self.cycles)
 
     @property
-    def edge_total(self) -> int:
-        return len(self.edges) + sum(len(c) for c in self.cycles)
-
-    @property
     def rank(self) -> int:
         return self.vertex_count - self.component_count
 
     @property
     def corank(self) -> int:
-        return self.edge_total - self.rank  # equals len(self.cycles)
+        # edge count minus rank: an edge adds 1 to both, a cycle of length L
+        # adds L edges and rank L - 1
+        return len(self.cycles)
 
 
 def enumerate_spanning_elementary(x: MixedGraph) -> list[ElementarySubgraph]:
@@ -224,30 +219,17 @@ def det_via_elementary(x: MixedGraph, ctx: CyclotomicContext) -> CyclotomicNumbe
     return total
 
 
-def _leibniz_cap(explicit: int | None) -> int:
-    if explicit is not None:
-        return explicit
-    raw = os.environ.get("HERMIX_MAX_LEIBNIZ")
-    if not raw:
-        return DEFAULT_LEIBNIZ_CAP
-    try:
-        return int(raw)
-    except ValueError:
-        raise InvalidParameter(
-            f"HERMIX_MAX_LEIBNIZ must be an integer, got {raw!r}"
-        ) from None
-
-
-def det_leibniz(h: ExactHermitianMatrix, max_dim: int | None = None) -> CyclotomicNumber:
+def det_leibniz(h: ExactHermitianMatrix) -> CyclotomicNumber:
     """Exact determinant by signed permutation expansion.
 
     Organized as Laplace expansion memoized on the free-column subset, which
-    sums exactly the nonzero permutation terms. Guarded by a dimension cap
-    (default 10, overridable via max_dim or HERMIX_MAX_LEIBNIZ).
+    sums exactly the nonzero permutation terms. Raises DimensionTooLarge above
+    LEIBNIZ_CAP.
     """
-    cap = _leibniz_cap(max_dim)
-    if h.dim > cap:
-        raise DimensionTooLarge(f"dim {h.dim} exceeds permutation-expansion cap {cap}")
+    if h.dim > LEIBNIZ_CAP:
+        raise DimensionTooLarge(
+            f"dim {h.dim} exceeds permutation-expansion cap {LEIBNIZ_CAP}"
+        )
     ctx = h.ctx
     full = (1 << h.dim) - 1
     memo: dict[int, CyclotomicNumber] = {0: ctx.one()}
@@ -278,27 +260,17 @@ def det_leibniz(h: ExactHermitianMatrix, max_dim: int | None = None) -> Cyclotom
 
 
 def numeric_inverse(h: ExactHermitianMatrix) -> np.ndarray:
-    """Floating inverse by Gaussian elimination with partial pivoting.
+    """Floating inverse from numpy.
 
-    Raises NumericallySingular when a pivot magnitude drops below 1e-10 or the
+    Raises NumericallySingular when numpy finds the matrix singular or the
     residual max |H * Hinv - I| exceeds 1e-9.
     """
-    n = h.dim
     a = h.to_complex()
-    work = np.hstack([a.copy(), np.eye(n, dtype=complex)])
-    for col in range(n):
-        p = col + int(np.argmax(np.abs(work[col:, col])))
-        if abs(work[p, col]) < PIVOT_TOLERANCE:
-            raise NumericallySingular(f"pivot {abs(work[p, col]):.3e} at column {col}")
-        if p != col:
-            work[[col, p]] = work[[p, col]]
-        work[col] /= work[col, col]
-        for r in range(n):
-            if r != col and work[r, col] != 0:
-                work[r] -= work[r, col] * work[col]
-    inv = work[:, n:]
-    if n:
-        residual = np.abs(a @ inv - np.eye(n)).max()
-        if residual > RESIDUAL_TOLERANCE:
-            raise NumericallySingular(f"residual {residual:.3e} exceeds tolerance")
+    try:
+        inv = np.linalg.inv(a)
+    except np.linalg.LinAlgError as exc:
+        raise NumericallySingular(str(exc)) from None
+    residual = np.abs(a @ inv - np.eye(h.dim)).max(initial=0.0)
+    if residual > RESIDUAL_TOLERANCE:
+        raise NumericallySingular(f"residual {residual:.3e} exceeds tolerance")
     return inv

@@ -29,6 +29,8 @@ from .inverse import _coaug_sign, _inverse_upm, orient_nonmatching
 from .matching import Matching, co_augmenting_paths, ensure_class_h
 from .spectral import ExactHermitianMatrix, h_alpha_matrix, walk_value
 
+EXHAUSTIVE_CAP = 16  # largest dimension exhaustive_diag_similarity sweeps
+
 
 @dataclass(frozen=True)
 class PegInfo:
@@ -216,8 +218,10 @@ def exhaustive_diag_similarity(hinv: ExactHermitianMatrix) -> DiagonalSigns | No
     entry classified as Other rules out every diagonal.
     """
     dim = hinv.dim
-    if dim > 16:
-        raise DimensionTooLarge(f"exhaustive search capped at dim 16, got {dim}")
+    if dim > EXHAUSTIVE_CAP:
+        raise DimensionTooLarge(
+            f"exhaustive search capped at dim {EXHAUSTIVE_CAP}, got {dim}"
+        )
     entries = _signed_entries(hinv)
     if entries is None:
         return None

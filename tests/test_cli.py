@@ -20,10 +20,13 @@ from hermix import (
     InternalCheckFailed,
     ParseError,
     ensure_class_h,
+    generate_instance,
     parse_graph,
     render_document,
     unique_cycle,
 )
+from hermix.spectral import LEIBNIZ_CAP
+from hermix.unicyclic import EXHAUSTIVE_CAP
 
 DATA = Path(__file__).parent / "data"
 PYPROJECT = Path(__file__).parents[1] / "pyproject.toml"
@@ -188,20 +191,20 @@ def test_check_skips_outside_class(tmp_path):
     assert lines["similarity_vs_exhaustive"] == "skip"
 
 
-def test_check_respects_leibniz_cap(monkeypatch):
-    monkeypatch.setenv("HERMIX_MAX_LEIBNIZ", "6")
-    _, out, _ = run_cli(["check", str(DATA / "c6_two_pendants.json")])
-    assert "det_elementary_vs_leibniz: skip" in out.splitlines()
-    monkeypatch.setenv("HERMIX_MAX_LEIBNIZ", "8")
-    _, out, _ = run_cli(["check", str(DATA / "c6_two_pendants.json")])
-    assert "det_elementary_vs_leibniz: pass" in out.splitlines()
-    monkeypatch.setenv("HERMIX_MAX_LEIBNIZ", "abc")
-    code, out, err = run_cli(["check", str(DATA / "c6_two_pendants.json")])
-    assert code == 2
-    assert out == ""
-    assert err == (
-        "error: InvalidParameter: HERMIX_MAX_LEIBNIZ must be an integer, got 'abc'\n"
-    )
+def test_check_skips_above_oracle_caps(tmp_path):
+    # each exponential oracle runs up to its fixed cap and skips beyond it
+    assert (LEIBNIZ_CAP, EXHAUSTIVE_CAP) == (10, 16)
+    for check, n, status in (
+        ("det_elementary_vs_leibniz", 10, "pass"),
+        ("det_elementary_vs_leibniz", 12, "skip"),
+        ("similarity_vs_exhaustive", 16, "pass"),
+        ("similarity_vs_exhaustive", 18, "skip"),
+    ):
+        doc = tmp_path / f"u{n}.json"
+        doc.write_text(render_document(generate_instance(3, n, unicyclic=True)))
+        code, out, _ = run_cli(["check", str(doc)])
+        assert code == 0
+        assert f"{check}: {status}" in out.splitlines()
 
 
 def test_gen_is_deterministic(tmp_path):
@@ -271,18 +274,33 @@ def test_vertex_out_of_range_exit_2(tmp_path):
     assert "BadVertexId" in err
 
 
-def run_module(module, *argv):
+def run_module(module, *argv, address_space=None):
     """Run ``python -m module argv...`` on the hermix package this suite imported.
 
     The directory holding that package goes first on the child's PYTHONPATH,
-    so the child runs the same code whatever the working directory.
+    so the child runs the same code whatever the working directory. With
+    ``address_space`` (bytes), the child alone runs under that RLIMIT_AS, with
+    one BLAS thread so that importing numpy fits.
     """
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(Path(hermix.__file__).parents[1]), env.get("PYTHONPATH")])
     )
+    limit = None
+    if address_space is not None:
+        import resource
+
+        env["OPENBLAS_NUM_THREADS"] = "1"
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
+
     return subprocess.run(
-        [sys.executable, "-m", module, *argv], capture_output=True, text=True, env=env
+        [sys.executable, "-m", module, *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        preexec_fn=limit,
     )
 
 
@@ -344,6 +362,25 @@ def test_module_exit_code_passes_through(tmp_path):
     assert len(lines) == 1
     assert lines[0].startswith("error: ")
     assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("command", ["det", "gen"])
+def test_input_too_large_for_memory_exit_2(tmp_path, command):
+    # 60 bytes of JSON ask for 50 million vertices; gen's candidate edge list
+    # at n = 40000 has about 400 million pairs
+    doc = tmp_path / "huge.json"
+    doc.write_text('{"n": 50000000, "digons": [], "arcs": [], "alpha_order": 2}')
+    out = tmp_path / "g.json"
+    argv = {
+        "det": ["det", str(doc)],
+        "gen": ["gen", "--seed", "1", "--n", "40000", "--unicyclic", "-o", str(out)],
+    }[command]
+    result = run_module("hermix", *argv, address_space=512 * 2**20)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: MemoryError: ")
+    assert result.stderr.count("\n") == 1
+    assert not out.exists()
 
 
 _vertex = st.one_of(st.integers(-1, 8), st.booleans())

@@ -167,20 +167,10 @@ def test_determinant_ignores_arc_direction_reversal():
         assert det_via_elementary(x, ctx) == det_via_elementary(rev, ctx)
 
 
-def test_leibniz_dimension_cap(monkeypatch):
-    ctx = CyclotomicContext(2)
+def test_leibniz_dimension_cap():
     p12 = MixedGraph(12, digons=[(i, i + 1) for i in range(11)])
-    big = h_alpha_matrix(p12, ctx)
-    monkeypatch.delenv("HERMIX_MAX_LEIBNIZ", raising=False)
     with pytest.raises(DimensionTooLarge):
-        det_leibniz(big)  # default cap is 10
-    monkeypatch.setenv("HERMIX_MAX_LEIBNIZ", "12")
-    assert det_leibniz(big) == det_via_elementary(p12, ctx) == 1
-    monkeypatch.setenv("HERMIX_MAX_LEIBNIZ", "4")
-    with pytest.raises(DimensionTooLarge):
-        det_leibniz(big)
-    # an explicit bound beats the environment
-    assert det_leibniz(big, max_dim=12) == 1
+        det_leibniz(h_alpha_matrix(p12, CyclotomicContext(2)))  # the cap is 10
 
 
 def test_numeric_inverse_agrees_and_detects_singularity():
