@@ -23,13 +23,8 @@ from .errors import (
     NotUnicyclic,
     ParseError,
 )
-from .graph import MixedGraph, unique_cycle
-from .inverse import (
-    _inverse_upm,
-    inverse_bipartite_upm,
-    inverse_entry_general,
-    orient_nonmatching,
-)
+from .graph import MixedGraph
+from .inverse import _adjugate_entry, _inverse_upm, inverse_bipartite_upm, orient_nonmatching
 from .matching import ensure_class_h
 from .spectral import (
     LEIBNIZ_CAP,
@@ -43,6 +38,7 @@ from .unicyclic import (
     EXHAUSTIVE_CAP,
     NotSimilar,
     Similar,
+    _classify,
     _peg_info,
     classify_gamma_similarity,
     exhaustive_diag_similarity,
@@ -124,7 +120,8 @@ def command_classify(doc: GraphDocument, basepoint: int, out) -> int:
 
 class GraphFacts:
     """What the checks read about one graph, each computed once. Outside
-    class H the matching and the inverse report are None."""
+    class H the matching, the inverse report and the pegs are None; the pegs
+    also when the graph is not unicyclic."""
 
     def __init__(self, x: MixedGraph, ctx: CyclotomicContext):
         self.x, self.ctx = x, ctx
@@ -136,9 +133,9 @@ class GraphFacts:
             self.matching = None
         self.report = None if self.matching is None else _inverse_upm(x, ctx, self.matching)
         try:
-            self.unicyclic = unique_cycle(x) is not None
+            self.pegs = None if self.matching is None else _peg_info(x, self.matching)
         except NotUnicyclic:
-            self.unicyclic = False
+            self.pegs = None
 
 
 # The checks of ``hermix check`` in output order: name -> (applies, holds).
@@ -188,7 +185,7 @@ def inverse_vs_numeric(f: GraphFacts) -> bool:
 @_check(lambda f: f.report is not None)
 def inverse_vs_general_formula(f: GraphFacts) -> bool:
     inv, pairs = f.report.matrix, f.report.contributions  # keyed by every pair i != j
-    return all(inverse_entry_general(f.x, f.ctx, i, j) == inv.entry(i, j) for i, j in pairs)
+    return all(_adjugate_entry(f.x, f.ctx, i, j) == f.det * inv.entry(i, j) for i, j in pairs)
 
 
 @_check(lambda f: f.report is not None)
@@ -206,11 +203,11 @@ def coaugmenting_counts(f: GraphFacts) -> bool:
     )
 
 
-@_check(lambda f: f.report is not None and f.unicyclic)
+@_check(lambda f: f.pegs is not None)
 def peg_structure(f: GraphFacts) -> bool:
     """At least two pegs. With more than two, no pair has two co-augmenting
     paths; with exactly two, each path of such a pair runs over both pegs."""
-    pegs = set(_peg_info(f.x, f.matching).pegs)
+    pegs = set(f.pegs.pegs)
     bags = f.report.contributions.values()
     if len(pegs) > 2:
         return all(len(bag) <= 1 for bag in bags)
@@ -222,12 +219,10 @@ def peg_structure(f: GraphFacts) -> bool:
     )
 
 
-@_check(
-    lambda f: f.report is not None and f.unicyclic and f.x.n <= EXHAUSTIVE_CAP
-)
+@_check(lambda f: f.pegs is not None and f.x.n <= EXHAUSTIVE_CAP)
 def similarity_vs_exhaustive(f: GraphFacts) -> bool:
-    verdict = classify_gamma_similarity(f.x)
     order3 = f.report if f.ctx.order == 3 else _inverse_upm(f.x, CyclotomicContext(3), f.matching)
+    verdict = _classify(f.x, f.pegs, order3.matrix, 0)
     found = exhaustive_diag_similarity(order3.matrix)
     return isinstance(verdict, Similar) == (found is not None)
 

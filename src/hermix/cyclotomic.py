@@ -266,8 +266,8 @@ class CyclotomicNumber:
     def __repr__(self):
         return f"CyclotomicNumber({self.ctx.order}, {self.to_polynomial_string()!r})"
 
-    def to_polynomial_string(self, symbol: str = "a") -> str:
-        """Render as an integer polynomial in ``symbol`` over a common denominator."""
+    def to_polynomial_string(self) -> str:
+        """Render as an integer polynomial in ``a`` over a common denominator."""
         den = math.lcm(*(c.denominator for c in self.coeffs))
         terms = []
         for k, c in enumerate(self.coeffs):
@@ -278,7 +278,7 @@ class CyclotomicNumber:
             if k == 0:
                 body = str(mag)
             else:
-                var = symbol if k == 1 else f"{symbol}^{k}"
+                var = "a" if k == 1 else f"a^{k}"
                 body = var if mag == 1 else f"{mag}{var}"
             terms.append((m < 0, body))
         if not terms:

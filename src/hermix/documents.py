@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import GenerationFailed, InvalidParameter, ParseError
 from .graph import MixedGraph

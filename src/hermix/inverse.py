@@ -30,17 +30,20 @@ def inverse_entry_general(
     det = det_via_elementary(x, ctx)
     if det.is_zero():
         raise SingularMatrix("determinant is exactly zero")
+    return _adjugate_entry(x, ctx, i, j) * det.inv()
+
+
+def _adjugate_entry(x: MixedGraph, ctx: CyclotomicContext, i: int, j: int) -> CyclotomicNumber:
+    # det(H) * (H^-1)_ij: over simple i..j paths, the path value times the
+    # determinant of what the path leaves behind, negated on odd edge counts
     acc = ctx.zero()
     for path in enumerate_paths(x, i, j):
-        rest = remove_vertices(x, path).graph
-        inner = det_via_elementary(rest, ctx)
+        inner = det_via_elementary(remove_vertices(x, path).graph, ctx)
         if inner.is_zero():
             continue
         term = walk_value(x, ctx, path) * inner
-        if len(path) % 2 == 0:  # odd edge count
-            term = -term
-        acc = acc + term
-    return acc * det.inv()
+        acc = acc + (-term if len(path) % 2 == 0 else term)
+    return acc
 
 
 @dataclass(frozen=True)

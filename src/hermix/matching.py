@@ -6,7 +6,6 @@ from collections import deque
 from typing import Iterable
 
 from .errors import (
-    BadVertexId,
     InvalidParameter,
     NotBipartite,
     NotInClassH,

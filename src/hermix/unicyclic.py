@@ -20,7 +20,6 @@ from .errors import (
     InvalidParameter,
     NoDoublePath,
     NotAWalk,
-    NotInClassH,
     NotTwoPegs,
     OddCycleParity,
 )
@@ -278,10 +277,14 @@ def classify_gamma_similarity(x: MixedGraph, basepoint: int = 0):
     """
     x.check_vertex(basepoint)
     m = ensure_class_h(x)
-    info = _peg_info(x, m)
-    ctx = CyclotomicContext(3)
-    report = _inverse_upm(x, ctx, m)
-    entries = _signed_entries(report.matrix)
+    info = _peg_info(x, m)  # a graph that is not unicyclic fails before the inverse
+    return _classify(x, info, _inverse_upm(x, CyclotomicContext(3), m).matrix, basepoint)
+
+
+def _classify(x: MixedGraph, info: PegInfo, hinv: ExactHermitianMatrix, basepoint: int):
+    # info and hinv must be the pegs and the order-3 inverse of x, built from
+    # its certified unique perfect matching
+    entries = _signed_entries(hinv)
     signs = None
     if entries is not None:
         if any(i == j for i, j, _ in entries):
@@ -314,9 +317,9 @@ def classify_gamma_similarity(x: MixedGraph, basepoint: int = 0):
         [(i, j) for i, j, kind in entries if kind.exponent == 0],
         [(i, j) if k.exponent == 1 else (j, i) for i, j, k in entries if k.exponent],
     )
-    conj = report.matrix.conjugated_by_signs(signs)
+    conj = hinv.conjugated_by_signs(signs)
     for i, j, _ in entries:
-        if conj.entry(i, j) != ctx.root_power(graph.hermitian_exponent(i, j)):
+        if conj.entry(i, j) != hinv.ctx.root_power(graph.hermitian_exponent(i, j)):
             raise InternalCheckFailed(
                 f"certificate entry ({i}, {j}) is not an adjacency value"
             )

@@ -15,7 +15,9 @@ from hypothesis import strategies as st
 
 import hermix
 import hermix.cli as cli
+import hermix.unicyclic as unicyclic
 from hermix import (
+    CyclotomicNumber,
     GenerationFailed,
     InternalCheckFailed,
     ParseError,
@@ -25,7 +27,8 @@ from hermix import (
     render_document,
     unique_cycle,
 )
-from hermix.spectral import LEIBNIZ_CAP
+from hermix.inverse import _inverse_upm
+from hermix.spectral import LEIBNIZ_CAP, det_via_elementary
 from hermix.unicyclic import EXHAUSTIVE_CAP
 
 DATA = Path(__file__).parent / "data"
@@ -99,11 +102,23 @@ def test_inverse_outside_class_exit_2(tmp_path):
     assert "NotInClassH" in err
 
 
+def patch_every_holder(monkeypatch, original, replacement):
+    """Bind ``replacement`` wherever a hermix module holds ``original``;
+    modules import each other's functions by name."""
+    for module in list(sys.modules.values()):
+        name = getattr(module, "__name__", "")
+        if name == "hermix" or name.startswith("hermix."):
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, replacement)
+
+
 def test_internal_invariant_failure_exit_3(monkeypatch):
-    def boom(x, basepoint=0):
+    def boom(x, info, hinv, basepoint):
         raise InternalCheckFailed("synthetic")
 
-    monkeypatch.setattr(cli, "classify_gamma_similarity", boom)
+    # classify and check both reach the classification through _classify
+    patch_every_holder(monkeypatch, unicyclic._classify, boom)
     for command in ("classify", "check"):  # check prints nothing until every check has run
         code, out, err = run_cli([command, str(DATA / "c4_four_pendants.json")])
         assert code == 3
@@ -150,18 +165,47 @@ def test_class_h_certified_once_per_call(monkeypatch):
         calls.append(x)
         return ensure_class_h(x)
 
-    # modules import each other's functions by name, so patch every holder
-    for module in list(sys.modules.values()):
-        name = getattr(module, "__name__", "")
-        if (name == "hermix" or name.startswith("hermix.")) and getattr(
-            module, "ensure_class_h", None
-        ) is ensure_class_h:
-            monkeypatch.setattr(module, "ensure_class_h", counted)
-    expected = {"inverse": 1, "classify": 1, "check": 2}
+    patch_every_holder(monkeypatch, ensure_class_h, counted)
+    expected = {"inverse": 1, "classify": 1, "check": 1}
     for command, count in expected.items():
         calls.clear()
         code, _, _ = run_cli([command, str(DATA / "c6_two_pendants.json")])
         assert (command, code, len(calls)) == (command, 0, count)
+
+
+def test_check_computes_shared_facts_once(monkeypatch, tmp_path):
+    # one full determinant, no field inverse and one order-3 inverse per call,
+    # whether the document's own inverse is the order-3 one or not
+    full_dets, inverses, order3 = [], [], []
+    doc = parse_graph((DATA / "c6_two_pendants.json").read_text())
+
+    def det_counted(g, ctx):
+        if g.n == doc.n:
+            full_dets.append(g)
+        return det_via_elementary(g, ctx)
+
+    def inv_counted(self):
+        inverses.append(self)
+        return field_inverse(self)
+
+    def upm_counted(g, ctx, m):
+        if ctx.order == 3:
+            order3.append(g)
+        return _inverse_upm(g, ctx, m)
+
+    field_inverse = CyclotomicNumber.inv
+    monkeypatch.setattr(CyclotomicNumber, "inv", inv_counted)
+    patch_every_holder(monkeypatch, det_via_elementary, det_counted)
+    patch_every_holder(monkeypatch, _inverse_upm, upm_counted)
+    order5 = tmp_path / "c6_order5.json"
+    order5.write_text(render_document(replace(doc, alpha_order=5)))
+    assert doc.alpha_order == 3
+    for path in (DATA / "c6_two_pendants.json", order5):
+        for calls in (full_dets, inverses, order3):
+            calls.clear()
+        code, out, _ = run_cli(["check", str(path)])
+        assert (code, out.splitlines()[-1]) == (0, "result: ok (10 checks)")
+        assert (len(full_dets), len(inverses), len(order3)) == (1, 0, 1)
 
 
 def test_check_reports_a_failing_check(monkeypatch):

@@ -1,0 +1,35 @@
+import ast
+from pathlib import Path
+
+import pytest
+
+import hermix
+
+MODULES = sorted(
+    p for p in Path(hermix.__file__).parent.glob("*.py") if p.name != "__init__.py"
+)
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names a module imports and never references."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
+
+
+def test_finder_reports_only_unreferenced_names():
+    source = "import os\nimport a.b\nfrom x import y as z, w\nprint(os, a.b, w)\n"
+    assert unused_imports(source) == ["z (line 3)"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
