@@ -1,10 +1,14 @@
 """Exact arithmetic in the cyclotomic field Q(alpha), alpha = exp(2*pi*i/n).
 
 Elements are kept in the power basis 1, alpha, ..., alpha^(phi(n)-1) of the
-field Q[x]/Phi_n(x), with Fraction coordinates. Reduction happens on every
-operation, so two values are equal exactly when their coordinate tuples are
-equal. This is a field (Phi_n is irreducible), unlike the group ring
-Q[x]/(x^n - 1), so every nonzero element has an inverse.
+field Q[x]/Phi_n(x), as integer numerators ``nums`` over one positive integer
+denominator ``den``. Reduction happens on every operation and the pair is kept
+in lowest terms (gcd(den, *nums) == 1), so two values are equal exactly when
+their (nums, den) tuples are equal. This is a field (Phi_n is irreducible),
+unlike the group ring Q[x]/(x^n - 1), so every nonzero element has an inverse.
+``Fraction`` appears only at the edges: the public constructor and
+``from_rational`` accept it, and ``inv`` runs the extended Euclidean algorithm
+over it.
 """
 
 from __future__ import annotations
@@ -16,8 +20,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import ContextMismatch
-
-_HALF = Fraction(1, 2)
 
 
 def _poly_div_exact(num: list[int], den: tuple[int, ...]) -> list[int]:
@@ -59,7 +61,7 @@ class CyclotomicContext:
     """Field data for a fixed root order: Phi_n and the x^k reduction table."""
 
     __slots__ = ("order", "degree", "phi", "_powers", "_complex_basis",
-                 "_zero", "_one")
+                 "_roots", "_zero", "_kinds")
 
     def __init__(self, order: int):
         if not isinstance(order, int) or order < 1:
@@ -85,23 +87,24 @@ class CyclotomicContext:
         self._complex_basis = tuple(
             cmath.exp(2j * cmath.pi * k / order) for k in range(d)
         )
-        self._zero = CyclotomicNumber(self, (Fraction(0),) * d)
-        self._one = CyclotomicNumber(self, self._powers[0])
+        self._roots = tuple(_raw(self, p, 1) for p in powers[:order])
+        self._zero = _raw(self, (0,) * d, 1)
+        self._kinds = None  # classify_entry's table, built on first use
 
     def zero(self) -> "CyclotomicNumber":
         return self._zero
 
     def one(self) -> "CyclotomicNumber":
-        return self._one
+        return self._roots[0]
 
     def root_power(self, k: int) -> "CyclotomicNumber":
         """alpha^k, reduced into the power basis. k may be any integer."""
-        return CyclotomicNumber(self, self._powers[k % self.order])
+        return self._roots[k % self.order]
 
     def from_rational(self, q) -> "CyclotomicNumber":
-        q = Fraction(q)
-        coeffs = (q,) + (Fraction(0),) * (self.degree - 1)
-        return CyclotomicNumber(self, coeffs)
+        if not isinstance(q, int):
+            q = Fraction(q)
+        return _raw(self, (q.numerator,) + self._zero.nums[1:], q.denominator)
 
     def __eq__(self, other):
         return isinstance(other, CyclotomicContext) and other.order == self.order
@@ -116,13 +119,18 @@ class CyclotomicContext:
 class CyclotomicNumber:
     """One element of Q(alpha). Immutable; all arithmetic returns new values."""
 
-    __slots__ = ("ctx", "coeffs")
+    __slots__ = ("ctx", "nums", "den")
 
     def __init__(self, ctx: CyclotomicContext, coeffs):
-        self.ctx = ctx
-        self.coeffs = tuple(Fraction(c) for c in coeffs)
-        if len(self.coeffs) != ctx.degree:
+        coeffs = [Fraction(c) for c in coeffs]
+        if len(coeffs) != ctx.degree:
             raise ValueError("coefficient vector has wrong length")
+        # each Fraction is in lowest terms, so over the lcm of their
+        # denominators no prime divides den and every numerator
+        den = math.lcm(*(c.denominator for c in coeffs))
+        self.ctx = ctx
+        self.nums = tuple(c.numerator * (den // c.denominator) for c in coeffs)
+        self.den = den
 
     # -- coercion -----------------------------------------------------------
 
@@ -143,22 +151,23 @@ class CyclotomicNumber:
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        return CyclotomicNumber(
-            self.ctx, tuple(a + b for a, b in zip(self.coeffs, o.coeffs))
+        da, db = self.den, o.den
+        if da == db:
+            return _reduced(self.ctx, tuple(a + b for a, b in zip(self.nums, o.nums)), da)
+        return _reduced(
+            self.ctx, tuple(a * db + b * da for a, b in zip(self.nums, o.nums)), da * db
         )
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CyclotomicNumber(self.ctx, tuple(-a for a in self.coeffs))
+        return _raw(self.ctx, tuple(-a for a in self.nums), self.den)
 
     def __sub__(self, other):
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        return CyclotomicNumber(
-            self.ctx, tuple(a - b for a, b in zip(self.coeffs, o.coeffs))
-        )
+        return self + -o
 
     def __rsub__(self, other):
         o = self._lift(other)
@@ -170,23 +179,23 @@ class CyclotomicNumber:
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        d = self.ctx.degree
-        conv = [Fraction(0)] * (2 * d - 1)
-        for i, a in enumerate(self.coeffs):
+        ctx = self.ctx
+        d = ctx.degree
+        conv = [0] * (2 * d - 1)
+        for i, a in enumerate(self.nums):
             if a:
-                for j, b in enumerate(o.coeffs):
+                for j, b in enumerate(o.nums):
                     if b:
                         conv[i + j] += a * b
-        out = list(conv[:d])
-        powers = self.ctx._powers
+        out = conv[:d]
+        powers = ctx._powers
         for k in range(d, 2 * d - 1):
             c = conv[k]
             if c:
-                row = powers[k]
-                for i in range(d):
-                    if row[i]:
-                        out[i] += c * row[i]
-        return CyclotomicNumber(self.ctx, out)
+                for i, r in enumerate(powers[k]):
+                    if r:
+                        out[i] += c * r
+        return _reduced(ctx, tuple(out), self.den * o.den)
 
     __rmul__ = __mul__
 
@@ -194,7 +203,8 @@ class CyclotomicNumber:
         """Multiplicative inverse, by the extended Euclidean algorithm mod Phi_n."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic number")
-        a = list(self.coeffs)
+        # self = nums / den, so its inverse is den times the inverse of nums
+        a = [Fraction(c) for c in self.nums]
         b = [Fraction(c) for c in self.ctx.phi]
         # invariant: r0 = s0 * a (mod Phi_n), r1 = s1 * a (mod Phi_n)
         r0, s0 = b, [Fraction(0)]
@@ -204,9 +214,9 @@ class CyclotomicNumber:
             r0, s0, r1, s1 = r1, s1, rem, _psub(s0, _pmul(q, s1))
         # Phi_n irreducible and a nonzero of lower degree: gcd is a constant
         assert len(r0) == 1 and r0[0] != 0
-        g = r0[0]
-        coeffs = [c / g for c in s0]
-        coeffs += [Fraction(0)] * (self.ctx.degree - len(coeffs))
+        scale = self.den / r0[0]
+        coeffs = [c * scale for c in s0]
+        coeffs += [0] * (self.ctx.degree - len(coeffs))
         return CyclotomicNumber(self.ctx, coeffs[: self.ctx.degree])
 
     def __truediv__(self, other):
@@ -223,34 +233,38 @@ class CyclotomicNumber:
             return self
         ctx = self.ctx
         n = ctx.order
-        out = [Fraction(0)] * ctx.degree
-        for i, c in enumerate(self.coeffs):
+        out = [0] * ctx.degree
+        for i, c in enumerate(self.nums):
             if c:
-                row = ctx._powers[(n - i) % n]
-                for k in range(ctx.degree):
-                    if row[k]:
-                        out[k] += c * row[k]
-        return CyclotomicNumber(ctx, out)
+                for k, r in enumerate(ctx._powers[(n - i) % n]):
+                    if r:
+                        out[k] += c * r
+        # conjugation is an involution of Z[alpha], so it keeps the gcd of
+        # the numerators and the result needs no reduction
+        return _raw(ctx, tuple(out), self.den)
 
     def real_part(self) -> "CyclotomicNumber":
         """(x + conj(x)) / 2, exact."""
-        return (self + self.conj()) * _HALF
+        s = self + self.conj()
+        return _reduced(self.ctx, s.nums, s.den * 2)
 
     # -- predicates / conversion ---------------------------------------------
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self.nums)
 
     def is_rational(self) -> bool:
-        return not any(self.coeffs[1:])
+        return not any(self.nums[1:])
 
     def __bool__(self):
         return not self.is_zero()
 
     def to_complex(self) -> complex:
+        # int / int rounds correctly, so this equals float(Fraction(c, den))
         basis = self.ctx._complex_basis
+        den = self.den
         return sum(
-            (float(c) * basis[i] for i, c in enumerate(self.coeffs) if c),
+            (c / den * basis[i] for i, c in enumerate(self.nums) if c),
             complex(0),
         )
 
@@ -258,20 +272,18 @@ class CyclotomicNumber:
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        return self.coeffs == o.coeffs
+        return self.den == o.den and self.nums == o.nums
 
     def __hash__(self):
-        return hash((self.ctx.order, self.coeffs))
+        return hash((self.ctx.order, self.nums, self.den))
 
     def __repr__(self):
         return f"CyclotomicNumber({self.ctx.order}, {self.to_polynomial_string()!r})"
 
     def to_polynomial_string(self) -> str:
         """Render as an integer polynomial in ``a`` over a common denominator."""
-        den = math.lcm(*(c.denominator for c in self.coeffs))
         terms = []
-        for k, c in enumerate(self.coeffs):
-            m = int(c * den)
+        for k, m in enumerate(self.nums):
             if m == 0:
                 continue
             mag = abs(m)
@@ -287,11 +299,30 @@ class CyclotomicNumber:
         text = ("-" if first_neg else "") + first_body
         for neg, body in terms[1:]:
             text += (" - " if neg else " + ") + body
-        if den != 1:
+        if self.den != 1:
             if len(terms) > 1:
                 text = f"({text})"
-            text = f"{text}/{den}"
+            text = f"{text}/{self.den}"
         return text
+
+
+def _raw(ctx: CyclotomicContext, nums: tuple[int, ...], den: int) -> CyclotomicNumber:
+    """A number from numerators already in lowest terms over ``den`` > 0."""
+    x = object.__new__(CyclotomicNumber)
+    x.ctx = ctx
+    x.nums = nums
+    x.den = den
+    return x
+
+
+def _reduced(ctx: CyclotomicContext, nums: tuple[int, ...], den: int) -> CyclotomicNumber:
+    """A number from integer numerators over ``den`` > 0, put in lowest terms."""
+    if den != 1:
+        g = math.gcd(den, *nums)
+        if g != 1:
+            nums = tuple(a // g for a in nums)
+            den //= g
+    return _raw(ctx, nums, den)
 
 
 # polynomial helpers over Fraction lists (low-to-high, stripped)
@@ -360,20 +391,24 @@ ZERO = _EntryKind("Zero")
 OTHER = _EntryKind("Other")
 
 
+def _entry_kinds(ctx: CyclotomicContext) -> dict:
+    """classify_entry's answer for every zero or signed power, keyed on (nums, den)."""
+    kinds = {(ctx._zero.nums, 1): ZERO}
+    for sign in (1, -1):
+        for k, root in enumerate(ctx._roots):
+            key = (tuple(sign * c for c in root.nums), 1)
+            kinds.setdefault(key, SignedPower(sign, k))
+    return kinds
+
+
 def classify_entry(x: CyclotomicNumber):
     """Sort ``x`` into Zero, SignedPower(sign, k), or Other.
 
-    Positive powers are scanned before negative ones, exponents in increasing
-    order, so the answer is deterministic even when representations overlap
-    (e.g. -1 at order 2 reports as +alpha^1, not -alpha^0).
+    Where representations overlap, positive powers win over negative ones and
+    smaller exponents over larger ones, so the answer is deterministic (e.g. -1
+    at order 2 reports as +alpha^1, not -alpha^0).
     """
-    if x.is_zero():
-        return ZERO
     ctx = x.ctx
-    for k in range(ctx.order):
-        if x == ctx.root_power(k):
-            return SignedPower(1, k)
-    for k in range(ctx.order):
-        if x == -ctx.root_power(k):
-            return SignedPower(-1, k)
-    return OTHER
+    if ctx._kinds is None:
+        ctx._kinds = _entry_kinds(ctx)
+    return ctx._kinds.get((x.nums, x.den), OTHER)

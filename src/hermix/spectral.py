@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -212,9 +211,10 @@ def det_via_elementary(x: MixedGraph, ctx: CyclotomicContext) -> CyclotomicNumbe
     """
     total = ctx.zero()
     for sub in enumerate_spanning_elementary(x):
-        term = ctx.from_rational(Fraction((-1) ** sub.rank))
+        term = ctx.from_rational((-1) ** sub.rank)
         for cyc in sub.cycles:
-            term = term * (walk_value(x, ctx, cyc.closed_walk()).real_part() * 2)
+            v = walk_value(x, ctx, cyc.closed_walk())
+            term = term * (v + v.conj())
         total = total + term
     return total
 

@@ -5,22 +5,30 @@ library's pruning, so agreement is meaningful: perfect matchings by direct
 recursion, simple paths via networkx, elementary subgraphs by scanning every
 edge subset. The matching, alternating-cycle, co-augmenting and
 canonical-cycle helpers below exist only for the tests; the package has none.
+The cyclotomic references redo field arithmetic on Fraction coordinates and
+sort entries by scanning every signed root power.
 """
 
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from itertools import combinations
 
 import networkx as nx
 from hypothesis import settings
 
 from hermix import (
+    OTHER,
+    ZERO,
     Cycle,
+    CyclotomicContext,
+    CyclotomicNumber,
     GraphDocument,
     Matching,
     MixedGraph,
     NotPerfect,
+    SignedPower,
     bipartition,
     generate_instance,
 )
@@ -370,3 +378,80 @@ def cycle_with_pendants(half: int, pendant_at, cycle_arcs=()) -> MixedGraph:
         digons.append((v, n))
         n += 1
     return MixedGraph(n, digons=digons, arcs=list(cycle_arcs))
+
+
+# -- cyclotomic references ----------------------------------------------------
+# Elements of Q[x]/Phi_n as tuples of Fraction coordinates in the power basis,
+# reduced by long division with Phi_n, independently of the package's x^k table.
+
+def fraction_coords(x: CyclotomicNumber) -> tuple[Fraction, ...]:
+    return tuple(Fraction(c, x.den) for c in x.nums)
+
+
+def ref_reduce(ctx: CyclotomicContext, poly) -> tuple[Fraction, ...]:
+    phi, d = ctx.phi, ctx.degree
+    p = [Fraction(c) for c in poly] + [Fraction(0)] * d
+    for k in range(len(p) - 1, d - 1, -1):
+        c = p[k]
+        if c:
+            for i in range(d + 1):
+                p[k - d + i] -= c * phi[i]
+    return tuple(p[:d])
+
+
+def ref_add(a, b):
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def ref_sub(a, b):
+    return tuple(x - y for x, y in zip(a, b))
+
+
+def ref_mul(ctx: CyclotomicContext, a, b):
+    conv = [Fraction(0)] * (len(a) + len(b))
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            conv[i + j] += x * y
+    return ref_reduce(ctx, conv)
+
+
+def ref_conj(ctx: CyclotomicContext, a):
+    n = ctx.order
+    poly = [Fraction(0)] * n
+    for i, c in enumerate(a):
+        poly[(n - i) % n] += c
+    return ref_reduce(ctx, poly)
+
+
+def ref_real_part(ctx: CyclotomicContext, a):
+    return tuple(c / 2 for c in ref_add(a, ref_conj(ctx, a)))
+
+
+def ref_inv(ctx: CyclotomicContext, a):
+    """Solve a * y = 1 by Gauss-Jordan elimination on the matrix of y -> a * y."""
+    d = ctx.degree
+    cols = [ref_mul(ctx, a, [Fraction(int(i == j)) for i in range(d)]) for j in range(d)]
+    rows = [[cols[j][i] for j in range(d)] + [Fraction(int(i == 0))] for i in range(d)]
+    for c in range(d):
+        p = next(r for r in range(c, d) if rows[r][c])
+        rows[c], rows[p] = rows[p], rows[c]
+        rows[c] = [v / rows[c][c] for v in rows[c]]
+        for r in range(d):
+            if r != c and rows[r][c]:
+                f = rows[r][c]
+                rows[r] = [v - f * w for v, w in zip(rows[r], rows[c])]
+    return tuple(row[d] for row in rows)
+
+
+def classify_entry_scan(x: CyclotomicNumber):
+    """classify_entry by scanning +alpha^k, then -alpha^k, k increasing."""
+    if x.is_zero():
+        return ZERO
+    ctx = x.ctx
+    for k in range(ctx.order):
+        if x == ctx.root_power(k):
+            return SignedPower(1, k)
+    for k in range(ctx.order):
+        if x == -ctx.root_power(k):
+            return SignedPower(-1, k)
+    return OTHER

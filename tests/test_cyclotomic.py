@@ -5,11 +5,22 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import (
+    classify_entry_scan,
+    fraction_coords,
+    ref_add,
+    ref_conj,
+    ref_inv,
+    ref_mul,
+    ref_real_part,
+    ref_sub,
+)
 from hermix import (
     OTHER,
     ZERO,
     ContextMismatch,
     CyclotomicContext,
+    CyclotomicNumber,
     SignedPower,
     classify_entry,
     cyclotomic_polynomial,
@@ -65,14 +76,12 @@ def field_elements(draw, order=None):
             max_size=ctx.degree,
         )
     )
-    from hermix.cyclotomic import CyclotomicNumber
-
     return CyclotomicNumber(ctx, coeffs)
 
 
 @st.composite
-def element_pairs(draw, count=2):
-    order = draw(orders)
+def element_pairs(draw, count=2, order_from=orders):
+    order = draw(order_from)
     return tuple(draw(field_elements(order=order)) for _ in range(count))
 
 
@@ -181,3 +190,91 @@ def test_root_power_wraps_modulo_order():
     ctx = CyclotomicContext(6)
     assert ctx.root_power(7) == ctx.root_power(1)
     assert ctx.root_power(-1) == ctx.root_power(5)
+
+
+# -- integer numerators over one denominator ----------------------------------
+
+every_order = st.integers(1, 12)
+
+
+@st.composite
+def signed_power_sums(draw):
+    """Sums of up to three signed root powers, which are often a signed power."""
+    ctx = CyclotomicContext(draw(every_order))
+    terms = draw(st.lists(st.tuples(st.sampled_from([1, -1]), st.integers(0, 11)), max_size=3))
+    total = ctx.zero()
+    for sign, k in terms:
+        total = total + ctx.root_power(k) * sign
+    return total
+
+
+def assert_canonical(x):
+    assert isinstance(x.den, int) and x.den > 0
+    assert all(isinstance(c, int) for c in x.nums)
+    assert math.gcd(x.den, *x.nums) == 1
+    assert len(x.nums) == x.ctx.degree
+    # the same value built from its Fraction coordinates stores the same tuples
+    twin = CyclotomicNumber(x.ctx, fraction_coords(x))
+    assert (twin.nums, twin.den) == (x.nums, x.den)
+    assert twin == x and hash(twin) == hash(x)
+
+
+@given(element_pairs(order_from=every_order))
+def test_integer_arithmetic_matches_fraction_reference(pair):
+    a, b = pair
+    ctx = a.ctx
+    fa, fb = fraction_coords(a), fraction_coords(b)
+    results = [
+        (a, fa),
+        (a + b, ref_add(fa, fb)),
+        (a - b, ref_sub(fa, fb)),
+        (-a, tuple(-c for c in fa)),
+        (a * b, ref_mul(ctx, fa, fb)),
+        (a.conj(), ref_conj(ctx, fa)),
+        (a.real_part(), ref_real_part(ctx, fa)),
+    ]
+    if not a.is_zero():
+        results.append((a.inv(), ref_inv(ctx, fa)))
+    for got, want in results:
+        assert_canonical(got)
+        assert fraction_coords(got) == want
+    assert hash(a + b) == hash(b + a) and hash(a * b) == hash(b * a)
+    assert hash(a - b + b) == hash(a)
+
+
+fractions = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 12))
+
+
+@given(every_order, st.lists(fractions, min_size=12, max_size=12))
+def test_public_constructor_stores_lowest_terms(order, coords):
+    ctx = CyclotomicContext(order)
+    coords = tuple(coords[: ctx.degree])
+    x = CyclotomicNumber(ctx, coords)
+    assert_canonical(x)
+    assert fraction_coords(x) == coords
+    assert_canonical(ctx.from_rational(coords[0]))
+
+
+def test_rendering_reads_numerators_over_den():
+    ctx = CyclotomicContext(5)
+    a = ctx.root_power(1)
+    assert ctx.from_rational(Fraction(1, 2)).to_polynomial_string() == "1/2"
+    assert ((1 + a) / 3).to_polynomial_string() == "(1 + a)/3"
+    assert (-(a * a)).to_polynomial_string() == "-a^2"
+    assert (((1 + a) / 3).nums, ((1 + a) / 3).den) == ((1, 1, 0, 0), 3)
+
+
+def test_classify_entry_matches_scan_on_every_signed_power():
+    for order in range(1, 13):
+        ctx = CyclotomicContext(order)
+        values = [ctx.zero()]
+        for k in range(order):
+            values += [ctx.root_power(k), -ctx.root_power(k)]
+        for x in values:
+            assert classify_entry(x) == classify_entry_scan(x)
+            assert classify_entry(x) is not OTHER
+
+
+@given(st.one_of(signed_power_sums(), every_order.flatmap(lambda n: field_elements(order=n))))
+def test_classify_entry_matches_scan(x):
+    assert classify_entry(x) == classify_entry_scan(x)

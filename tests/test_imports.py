@@ -33,3 +33,24 @@ def test_finder_reports_only_unreferenced_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def imports_module(source: str, module: str) -> bool:
+    """Whether ``source`` imports ``module`` or anything from it."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            if any(alias.name.split(".")[0] == module for alias in node.names):
+                return True
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            if node.module.split(".")[0] == module:
+                return True
+    return False
+
+
+def test_exact_rationals_live_in_cyclotomic_only():
+    assert imports_module("from fractions import Fraction as F\n", "fractions")
+    assert imports_module("import os, fractions\n", "fractions")
+    assert not imports_module("from .fractions import x\nimport fractionsx\n", "fractions")
+    package = sorted(Path(hermix.__file__).parent.glob("*.py"))
+    importers = [p.name for p in package if imports_module(p.read_text(encoding="utf-8"), "fractions")]
+    assert importers == ["cyclotomic.py"]
