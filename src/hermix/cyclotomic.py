@@ -6,9 +6,10 @@ denominator ``den``. Reduction happens on every operation and the pair is kept
 in lowest terms (gcd(den, *nums) == 1), so two values are equal exactly when
 their (nums, den) tuples are equal. This is a field (Phi_n is irreducible),
 unlike the group ring Q[x]/(x^n - 1), so every nonzero element has an inverse.
-``Fraction`` appears only at the edges: the public constructor and
-``from_rational`` accept it, and ``inv`` runs the extended Euclidean algorithm
-over it.
+The automorphisms alpha -> alpha^k, k prime to n, give both ``conj`` (k = n-1)
+and ``inv``: the inverse is the product of the other conjugates over the norm,
+which is rational. ``Fraction`` appears only at the edges: the public
+constructor, ``from_rational`` and the arithmetic operators accept it.
 """
 
 from __future__ import annotations
@@ -71,7 +72,7 @@ class CyclotomicContext:
         self.degree = len(self.phi) - 1
         d = self.degree
         # x^k mod Phi_n for every exponent any operation can produce:
-        # conjugation needs k < order, multiplication needs k <= 2d - 2.
+        # automorphisms (conj, inv) need k < order, multiplication k <= 2d - 2.
         top = max(order - 1, 2 * d - 2, 0)
         powers = []
         cur = [0] * d
@@ -200,24 +201,21 @@ class CyclotomicNumber:
     __rmul__ = __mul__
 
     def inv(self) -> "CyclotomicNumber":
-        """Multiplicative inverse, by the extended Euclidean algorithm mod Phi_n."""
+        """Multiplicative inverse: the other Galois conjugates over the norm."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic number")
-        # self = nums / den, so its inverse is den times the inverse of nums
-        a = [Fraction(c) for c in self.nums]
-        b = [Fraction(c) for c in self.ctx.phi]
-        # invariant: r0 = s0 * a (mod Phi_n), r1 = s1 * a (mod Phi_n)
-        r0, s0 = b, [Fraction(0)]
-        r1, s1 = _pstrip(a), [Fraction(1)]
-        while r1:
-            q, rem = _pdivmod(r0, r1)
-            r0, s0, r1, s1 = r1, s1, rem, _psub(s0, _pmul(q, s1))
-        # Phi_n irreducible and a nonzero of lower degree: gcd is a constant
-        assert len(r0) == 1 and r0[0] != 0
-        scale = self.den / r0[0]
-        coeffs = [c * scale for c in s0]
-        coeffs += [0] * (self.ctx.degree - len(coeffs))
-        return CyclotomicNumber(self.ctx, coeffs[: self.ctx.degree])
+        ctx = self.ctx
+        n = ctx.order
+        rest = ctx.one()
+        for k in range(2, n):
+            if math.gcd(k, n) == 1:
+                rest = rest * self._galois(k)
+        # the norm, self times all its conjugates, is a nonzero rational
+        norm = self * rest
+        assert norm.is_rational() and norm.nums[0] != 0
+        num = norm.nums[0]
+        scale = norm.den if num > 0 else -norm.den
+        return _reduced(ctx, tuple(c * scale for c in rest.nums), rest.den * abs(num))
 
     def __truediv__(self, other):
         o = self._lift(other)
@@ -231,15 +229,19 @@ class CyclotomicNumber:
         """Complex conjugate: alpha maps to alpha^(n-1)."""
         if self.is_rational():
             return self
+        return self._galois(self.ctx.order - 1)
+
+    def _galois(self, k: int) -> "CyclotomicNumber":
+        """The field automorphism alpha -> alpha^k, for 0 < k < order prime to it."""
         ctx = self.ctx
         n = ctx.order
         out = [0] * ctx.degree
         for i, c in enumerate(self.nums):
             if c:
-                for k, r in enumerate(ctx._powers[(n - i) % n]):
+                for j, r in enumerate(ctx._powers[i * k % n]):
                     if r:
-                        out[k] += c * r
-        # conjugation is an involution of Z[alpha], so it keeps the gcd of
+                        out[j] += c * r
+        # an automorphism maps Z[alpha] onto itself, so it keeps the gcd of
         # the numerators and the result needs no reduction
         return _raw(ctx, tuple(out), self.den)
 
@@ -323,48 +325,6 @@ def _reduced(ctx: CyclotomicContext, nums: tuple[int, ...], den: int) -> Cycloto
             nums = tuple(a // g for a in nums)
             den //= g
     return _raw(ctx, nums, den)
-
-
-# polynomial helpers over Fraction lists (low-to-high, stripped)
-
-def _pstrip(p: list[Fraction]) -> list[Fraction]:
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _psub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = list(a) + [Fraction(0)] * (len(b) - len(a))
-    for i, c in enumerate(b):
-        out[i] -= c
-    return _pstrip(out)
-
-
-def _pmul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return _pstrip(out)
-
-
-def _pdivmod(a: list[Fraction], b: list[Fraction]):
-    rem = list(a)
-    db = len(b) - 1
-    lead = b[-1]
-    quot = [Fraction(0)] * max(len(rem) - db, 0)
-    while len(rem) - 1 >= db and rem:
-        c = rem[-1] / lead
-        d = len(rem) - 1 - db
-        quot[d] = c
-        for i in range(db + 1):
-            rem[d + i] -= c * b[i]
-        _pstrip(rem)
-    return _pstrip(quot), rem
 
 
 # -- entry classification ----------------------------------------------------

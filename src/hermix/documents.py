@@ -50,7 +50,7 @@ class GraphDocument:
 def parse_graph(text: str) -> GraphDocument:
     """Parse document text; ParseError carries a position or field diagnostic."""
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, object_pairs_hook=_unique_fields)
     except json.JSONDecodeError as exc:
         raise ParseError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     except RecursionError:
@@ -80,6 +80,16 @@ def parse_graph(text: str) -> GraphDocument:
             raise ParseError(f"expected {n} labels, got {len(labels)}")
         labels = tuple(labels)
     return GraphDocument(n=n, digons=digons, arcs=arcs, alpha_order=order, labels=labels)
+
+
+def _unique_fields(pairs) -> dict:
+    # json.loads would keep the last of two equal keys without a word
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ParseError(f"field '{key}' appears more than once")
+        obj[key] = value
+    return obj
 
 
 def _pair_list(raw, name: str) -> tuple[tuple[int, int], ...]:

@@ -69,6 +69,16 @@ def test_det_unparsable_document_exit_2(tmp_path):
         assert err.startswith("error: ParseError") and err.count("\n") == 1
 
 
+def test_repeated_field_exit_2(tmp_path):
+    # json.loads alone keeps the last value, so this would print det = 0, exit 0
+    doc = tmp_path / "repeated.json"
+    doc.write_text('{"n": 2, "n": 3, "digons": [], "arcs": [], "alpha_order": 3}')
+    code, out, err = run_cli(["det", str(doc)])
+    assert code == 2
+    assert out == ""
+    assert err == "error: ParseError: field 'n' appears more than once\n"
+
+
 def test_classify_requires_order_3(tmp_path):
     doc = parse_graph((DATA / "c4_four_pendants.json").read_text())
     target = tmp_path / "c4_order5.json"

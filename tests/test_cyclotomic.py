@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -219,7 +220,12 @@ def assert_canonical(x):
     assert twin == x and hash(twin) == hash(x)
 
 
-@given(element_pairs(order_from=every_order))
+# each has a non-cyclic unit group, so no one k generates the Galois group;
+# 21 has degree 12
+larger_orders = st.sampled_from([15, 16, 20, 21, 24, 30])
+
+
+@given(element_pairs(order_from=st.one_of(every_order, larger_orders)))
 def test_integer_arithmetic_matches_fraction_reference(pair):
     a, b = pair
     ctx = a.ctx
@@ -240,6 +246,15 @@ def test_integer_arithmetic_matches_fraction_reference(pair):
         assert fraction_coords(got) == want
     assert hash(a + b) == hash(b + a) and hash(a * b) == hash(b * a)
     assert hash(a - b + b) == hash(a)
+
+
+def test_inverse_of_dense_element_at_order_97():
+    ctx = CyclotomicContext(97)
+    rng = random.Random(97)
+    a = CyclotomicNumber(ctx, [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(96)])
+    b = a.inv()
+    assert_canonical(b)
+    assert a * b == 1
 
 
 fractions = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 12))
