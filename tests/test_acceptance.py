@@ -268,18 +268,21 @@ def test_criterion_09_similarity_decision_vs_exhaustive():
 
 
 def test_criterion_10_cli_golden_stability():
+    # (golden prefix, argv before the document, desk graphs)
+    cases = [(command, [command], DESK_NAMES) for command in ("det", "inverse", "classify", "check")]
+    cases.append(("inverse_paths", ["inverse", "--paths"], ("c6_two_pendants", "c4_four_pendants")))
     ok = True
-    for command in ("det", "inverse", "classify", "check"):
-        for name in DESK_NAMES:
+    for prefix, argv, names in cases:
+        for name in names:
             runs = []
             for _ in range(2):
                 out, err = io.StringIO(), io.StringIO()
-                code = cli.main([command, str(DATA / f"{name}.json")], out=out, err=err)
+                code = cli.main([*argv, str(DATA / f"{name}.json")], out=out, err=err)
                 runs.append(
                     f"exit: {code}\n--- stdout ---\n{out.getvalue()}"
                     f"--- stderr ---\n{err.getvalue()}"
                 )
             ok = ok and runs[0] == runs[1]
-            golden = (GOLDEN / f"{command}_{name}.txt").read_text()
+            golden = (GOLDEN / f"{prefix}_{name}.txt").read_text()
             ok = ok and runs[0] == golden
-    report(10, "det/inverse/classify/check byte-identical to goldens on the five desk graphs", ok)
+    report(10, "det/inverse/classify/check and inverse --paths byte-identical to goldens", ok)
