@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from itertools import permutations, product
 from typing import Callable
 
 import numpy as np
@@ -24,8 +25,10 @@ from .errors import (
     ParseError,
 )
 from .graph import MixedGraph
-from .inverse import _adjugate_entry, _inverse_upm, inverse_bipartite_upm, orient_nonmatching
-from .matching import ensure_class_h
+from .inverse import (
+    _adjugate_entry, _coaug_sign, _inverse_upm, inverse_bipartite_upm, orient_nonmatching,
+)
+from .matching import Matching, co_augmenting_paths, ensure_class_h
 from .spectral import (
     LEIBNIZ_CAP,
     ExactHermitianMatrix,
@@ -82,23 +85,18 @@ def command_det(doc: GraphDocument, out) -> int:
 def command_inverse(doc: GraphDocument, show_paths: bool, out) -> int:
     x = doc.to_graph()
     ctx = CyclotomicContext(doc.alpha_order)
-    report = inverse_bipartite_upm(x, ctx)
+    inv = inverse_bipartite_upm(x, ctx)
     print(f"alpha_order = {doc.alpha_order}", file=out)
     print("inverse:", file=out)
     for i in range(x.n):
-        row = ", ".join(
-            report.matrix.entry(i, j).to_polynomial_string() for j in range(x.n)
-        )
+        row = ", ".join(inv.entry(i, j).to_polynomial_string() for j in range(x.n))
         print(f"[{row}]", file=out)
     if show_paths:
-        for i in range(x.n):
-            for j in range(i + 1, x.n):
-                contribs = report.contributions.get((i, j), ())
-                if not contribs:
-                    continue
+        for (i, j), bag in sorted(paths_by_pair(x, ensure_class_h(x)).items()):
+            if i < j:
                 print(f"paths {i} -> {j}:", file=out)
-                for path, sign in contribs:
-                    print(f"  {'+1' if sign == 1 else '-1'}  {path}", file=out)
+                for path in bag:
+                    print(f"  {_coaug_sign(path):+d}  {path}", file=out)
     return 0
 
 
@@ -118,10 +116,20 @@ def command_classify(doc: GraphDocument, basepoint: int, out) -> int:
     return 0
 
 
+def paths_by_pair(x: MixedGraph, m: Matching) -> dict[tuple[int, int], list[tuple[int, ...]]]:
+    """Every co-augmenting path, in lexicographic order, keyed by its (start, end)
+    pair; one search per start vertex. Pairs with no path are absent."""
+    pairs: dict[tuple[int, int], list[tuple[int, ...]]] = {}
+    for i in range(x.n):
+        for path in co_augmenting_paths(x, m, i):
+            pairs.setdefault((i, path[-1]), []).append(path)
+    return pairs
+
+
 class GraphFacts:
     """What the checks read about one graph, each computed once. Outside
-    class H the matching, the inverse report and the pegs are None; the pegs
-    also when the graph is not unicyclic."""
+    class H the matching, the inverse, the co-augmenting paths and the pegs
+    are None; the pegs also when the graph is not unicyclic."""
 
     def __init__(self, x: MixedGraph, ctx: CyclotomicContext):
         self.x, self.ctx = x, ctx
@@ -131,7 +139,8 @@ class GraphFacts:
             self.matching = ensure_class_h(x)
         except NotInClassH:
             self.matching = None
-        self.report = None if self.matching is None else _inverse_upm(x, ctx, self.matching)
+        self.inverse = None if self.matching is None else _inverse_upm(x, ctx, self.matching)
+        self.paths = None if self.matching is None else paths_by_pair(x, self.matching)
         try:
             self.pegs = None if self.matching is None else _peg_info(x, self.matching)
         except NotUnicyclic:
@@ -161,46 +170,43 @@ def det_elementary_vs_numeric(f: GraphFacts) -> bool:
     return abs(f.det.to_complex() - numeric) <= NUMERIC_AGREEMENT
 
 
-@_check(lambda f: f.report is not None)
+@_check(lambda f: f.inverse is not None)
 def det_sign_law(f: GraphFacts) -> bool:
     return f.det == f.ctx.from_rational(1 if (f.x.n // 2) % 2 == 0 else -1)
 
 
-@_check(lambda f: f.report is not None)
+@_check(lambda f: f.inverse is not None)
 def inverse_identity(f: GraphFacts) -> bool:
-    return f.report.matrix.multiply(f.h) == ExactHermitianMatrix.identity(f.ctx, f.x.n).rows
+    return f.inverse.multiply(f.h) == ExactHermitianMatrix.identity(f.ctx, f.x.n).rows
 
 
-@_check(lambda f: f.report is not None)
+@_check(lambda f: f.inverse is not None)
 def inverse_zero_diagonal(f: GraphFacts) -> bool:
-    return all(f.report.matrix.entry(i, i).is_zero() for i in range(f.x.n))
+    return all(f.inverse.entry(i, i).is_zero() for i in range(f.x.n))
 
 
-@_check(lambda f: f.report is not None)
+@_check(lambda f: f.inverse is not None)
 def inverse_vs_numeric(f: GraphFacts) -> bool:
-    diff = np.abs(f.report.matrix.to_complex() - numeric_inverse(f.h)).max() if f.x.n else 0.0
+    diff = np.abs(f.inverse.to_complex() - numeric_inverse(f.h)).max() if f.x.n else 0.0
     return diff <= NUMERIC_AGREEMENT
 
 
-@_check(lambda f: f.report is not None)
+@_check(lambda f: f.inverse is not None)
 def inverse_vs_general_formula(f: GraphFacts) -> bool:
-    inv, pairs = f.report.matrix, f.report.contributions  # keyed by every pair i != j
-    return all(_adjugate_entry(f.x, f.ctx, i, j) == f.det * inv.entry(i, j) for i, j in pairs)
+    pairs = permutations(range(f.x.n), 2)
+    return all(_adjugate_entry(f.x, f.ctx, i, j) == f.det * f.inverse.entry(i, j) for i, j in pairs)
 
 
-@_check(lambda f: f.report is not None)
+@_check(lambda f: f.inverse is not None)
 def coaugmenting_counts(f: GraphFacts) -> bool:
-    """With every non-matching edge oriented, the order-2 inverse counts the
-    co-augmenting paths behind each entry."""
+    """With every non-matching edge oriented, the order-2 inverse from the row
+    recurrence counts the co-augmenting paths the path search lists per pair."""
     # orienting edges keeps the underlying graph, so f.matching stays its
     # unique perfect matching
     oriented = orient_nonmatching(f.x.underlying(), f.matching)
-    counts = _inverse_upm(oriented, CyclotomicContext(2), f.matching).matrix
-    return all(
-        counts.entry(i, j) == len(f.report.contributions.get((i, j), ()))
-        for i in range(f.x.n)
-        for j in range(f.x.n)
-    )
+    counts = _inverse_upm(oriented, CyclotomicContext(2), f.matching)
+    pairs = product(range(f.x.n), repeat=2)
+    return all(counts.entry(i, j) == len(f.paths.get((i, j), ())) for i, j in pairs)
 
 
 @_check(lambda f: f.pegs is not None)
@@ -208,22 +214,22 @@ def peg_structure(f: GraphFacts) -> bool:
     """At least two pegs. With more than two, no pair has two co-augmenting
     paths; with exactly two, each path of such a pair runs over both pegs."""
     pegs = set(f.pegs.pegs)
-    bags = f.report.contributions.values()
+    bags = f.paths.values()
     if len(pegs) > 2:
         return all(len(bag) <= 1 for bag in bags)
     return len(pegs) == 2 and all(
         pegs <= {(min(u, v), max(u, v)) for u, v in zip(path, path[1:])}
         for bag in bags
         if len(bag) == 2
-        for path, _ in bag
+        for path in bag
     )
 
 
 @_check(lambda f: f.pegs is not None and f.x.n <= EXHAUSTIVE_CAP)
 def similarity_vs_exhaustive(f: GraphFacts) -> bool:
-    order3 = f.report if f.ctx.order == 3 else _inverse_upm(f.x, CyclotomicContext(3), f.matching)
-    verdict = _classify(f.x, f.pegs, order3.matrix, 0)
-    found = exhaustive_diag_similarity(order3.matrix)
+    order3 = f.inverse if f.ctx.order == 3 else _inverse_upm(f.x, CyclotomicContext(3), f.matching)
+    verdict = _classify(f.x, f.pegs, order3, 0)
+    found = exhaustive_diag_similarity(order3)
     return isinstance(verdict, Similar) == (found is not None)
 
 

@@ -3,19 +3,17 @@
 Two routes live here. ``inverse_entry_general`` works on any invertible mixed
 graph (off-diagonal entries only) by summing, over all simple i..j paths, the
 path value times the determinant of what the path leaves behind.
-``inverse_bipartite_upm`` is the closed form for bipartite graphs with a
-unique perfect matching: a signed sum over co-augmenting paths, with an exactly
-zero diagonal.
+``inverse_bipartite_upm`` covers bipartite graphs with a unique perfect
+matching, where entry (i, j) is a signed sum over co-augmenting i..j paths;
+one recurrence builds it, listing no path, in O(n * |E|) field operations.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .cyclotomic import CyclotomicContext, CyclotomicNumber
 from .errors import HasArcs, InvalidParameter, NotPerfect, SameVertex, SingularMatrix
 from .graph import MixedGraph, enumerate_paths, remove_vertices
-from .matching import Matching, co_augmenting_paths, ensure_class_h
+from .matching import Matching, ensure_class_h
 from .spectral import ExactHermitianMatrix, det_via_elementary, walk_value
 
 
@@ -46,20 +44,12 @@ def _adjugate_entry(x: MixedGraph, ctx: CyclotomicContext, i: int, j: int) -> Cy
     return acc
 
 
-@dataclass(frozen=True)
-class InverseReport:
-    """Exact inverse plus, per ordered pair, the co-augmenting paths behind it."""
-
-    matrix: ExactHermitianMatrix
-    contributions: dict[tuple[int, int], tuple[tuple[tuple[int, ...], int], ...]]
-
-
 def _coaug_sign(path: tuple[int, ...]) -> int:
     # (-1)^((edge count - 1) / 2); co-augmenting paths have odd edge count
     return -1 if ((len(path) - 2) // 2) % 2 else 1
 
 
-def inverse_bipartite_upm(x: MixedGraph, ctx: CyclotomicContext) -> InverseReport:
+def inverse_bipartite_upm(x: MixedGraph, ctx: CyclotomicContext) -> ExactHermitianMatrix:
     """Exact inverse for a bipartite unique-perfect-matching graph.
 
     Entry (i, j), i != j, is the sum over co-augmenting i..j paths P of
@@ -68,26 +58,32 @@ def inverse_bipartite_upm(x: MixedGraph, ctx: CyclotomicContext) -> InverseRepor
     return _inverse_upm(x, ctx, ensure_class_h(x))
 
 
-def _inverse_upm(x: MixedGraph, ctx: CyclotomicContext, m: Matching) -> InverseReport:
-    # m must be the certified unique perfect matching of x; one path
-    # enumeration per source i gives row i
+def _inverse_upm(x: MixedGraph, ctx: CyclotomicContext, m: Matching) -> ExactHermitianMatrix:
+    # m must be the certified unique perfect matching of x. Row m(i) of H * H^-1 = I gives
+    #   row(i) = h(i, m(i)) * (e_m(i) - sum over u ~ m(i), u != i, of h(m(i), u) * row(u));
+    # with no alternating cycle the steps i -> u never return: a stack orders the rows.
+    adj, partner = x.adjacency, m.partner
+    rows: list[dict[int, CyclotomicNumber] | None] = [None] * x.n
+    stack = list(range(x.n))
+    while stack:
+        i = stack.pop()
+        if rows[i] is not None:
+            continue
+        mate = partner[i]
+        todo = [u for u in adj[mate] if u != i and rows[u] is None]
+        if todo:
+            stack += [i, *todo]
+            continue
+        e = x.hermitian_exponent(i, mate)
+        row = {mate: ctx.root_power(e)}
+        for u in adj[mate]:
+            if u != i:
+                c = -ctx.root_power(e + x.hermitian_exponent(mate, u))
+                for j, v in rows[u].items():
+                    row[j] = row[j] + c * v if j in row else c * v
+        rows[i] = {j: v for j, v in row.items() if not v.is_zero()}
     zero = ctx.zero()
-    contributions: dict[tuple[int, int], tuple[tuple[tuple[int, ...], int], ...]] = {}
-    rows = []
-    for i in range(x.n):
-        bags = [[] for _ in range(x.n)]
-        acc = [zero] * x.n
-        for path in co_augmenting_paths(x, m, i):
-            j = path[-1]
-            sign = _coaug_sign(path)
-            value = walk_value(x, ctx, path)
-            acc[j] = acc[j] + (value if sign == 1 else -value)
-            bags[j].append((path, sign))
-        for j in range(x.n):
-            if j != i:
-                contributions[(i, j)] = tuple(bags[j])
-        rows.append(acc)
-    return InverseReport(ExactHermitianMatrix(ctx, rows), contributions)
+    return ExactHermitianMatrix(ctx, [[row.get(j, zero) for j in range(x.n)] for row in rows])
 
 
 def orient_nonmatching(g: MixedGraph, m: Matching) -> MixedGraph:

@@ -278,7 +278,7 @@ def classify_gamma_similarity(x: MixedGraph, basepoint: int = 0):
     x.check_vertex(basepoint)
     m = ensure_class_h(x)
     info = _peg_info(x, m)  # a graph that is not unicyclic fails before the inverse
-    return _classify(x, info, _inverse_upm(x, CyclotomicContext(3), m).matrix, basepoint)
+    return _classify(x, info, _inverse_upm(x, CyclotomicContext(3), m), basepoint)
 
 
 def _classify(x: MixedGraph, info: PegInfo, hinv: ExactHermitianMatrix, basepoint: int):

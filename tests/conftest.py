@@ -380,6 +380,27 @@ def cycle_with_pendants(half: int, pendant_at, cycle_arcs=()) -> MixedGraph:
     return MixedGraph(n, digons=digons, arcs=list(cycle_arcs))
 
 
+def triangular_graph(k: int, seed: int) -> MixedGraph:
+    """Dense class-H graph on pairs a_t = 2t, b_t = 2t + 1 (t < k): the
+    matching edges a_t-b_t plus a_s-b_t for every s < t.
+
+    b_0 is a pendant, and peeling each pair leaves b_{t+1} one, so the
+    matching is unique; there are 2^(k+1) - 2 co-augmenting paths. Every
+    edge is a digon, an arc or a reversed arc by seeded choice.
+    """
+    rng = random.Random(seed)
+    digons, arcs = [], []
+    for s in range(k):
+        for t in range(s, k):
+            a, b = 2 * s, 2 * t + 1
+            kind = rng.randrange(3)
+            if kind == 0:
+                digons.append((a, b))
+            else:
+                arcs.append((a, b) if kind == 1 else (b, a))
+    return MixedGraph(2 * k, digons, arcs)
+
+
 # -- cyclotomic references ----------------------------------------------------
 # Elements of Q[x]/Phi_n as tuples of Fraction coordinates in the power basis,
 # reduced by long division with Phi_n, independently of the package's x^k table.

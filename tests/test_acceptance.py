@@ -208,7 +208,7 @@ def test_criterion_08_two_peg_closed_form():
     pairs_checked = 0
     for x in instances:
         match = ensure_class_h(x)
-        inv = inverse_bipartite_upm(x, ctx).matrix
+        inv = inverse_bipartite_upm(x, ctx)
         for i in range(x.n):
             for j in range(i + 1, x.n):
                 paths = co_augmenting_paths(x, match, i, j)

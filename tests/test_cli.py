@@ -21,6 +21,7 @@ from hermix import (
     GenerationFailed,
     InternalCheckFailed,
     ParseError,
+    co_augmenting_paths,
     ensure_class_h,
     generate_instance,
     parse_graph,
@@ -181,6 +182,29 @@ def test_class_h_certified_once_per_call(monkeypatch):
         calls.clear()
         code, _, _ = run_cli([command, str(DATA / "c6_two_pendants.json")])
         assert (command, code, len(calls)) == (command, 0, count)
+
+
+def test_paths_listed_only_where_read(monkeypatch):
+    # the inverse comes from the row recurrence; only --paths and check list
+    # co-augmenting paths, one search per source vertex
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return co_augmenting_paths(*args)
+
+    patch_every_holder(monkeypatch, co_augmenting_paths, counted)
+    doc = DATA / "c6_two_pendants.json"
+    n = parse_graph(doc.read_text()).n
+    for argv, count in (
+        (["inverse"], 0),
+        (["classify"], 0),
+        (["check"], n),
+        (["inverse", "--paths"], n),
+    ):
+        calls.clear()
+        code, _, _ = run_cli([*argv, str(doc)])
+        assert (argv, code, len(calls)) == (argv, 0, count)
 
 
 def test_check_computes_shared_facts_once(monkeypatch, tmp_path):

@@ -3,9 +3,9 @@ import random
 import numpy as np
 import pytest
 
-import hermix.inverse as inverse
 from hermix import (
     CyclotomicContext,
+    ExactHermitianMatrix,
     HasArcs,
     InvalidParameter,
     Matching,
@@ -21,6 +21,7 @@ from hermix import (
     inverse_entry_general,
     numeric_inverse,
     orient_nonmatching,
+    walk_value,
 )
 
 from conftest import (
@@ -31,12 +32,13 @@ from conftest import (
     p4,
     pentagon_tail,
     random_mixed_graph,
+    triangular_graph,
 )
 
 
 def test_p4_inverse_exact_values():
     ctx = CyclotomicContext(3)
-    inv = inverse_bipartite_upm(p4(), ctx).matrix
+    inv = inverse_bipartite_upm(p4(), ctx)
     one, zero = ctx.one(), ctx.zero()
     expect = [
         [zero, one, zero, -one],
@@ -51,7 +53,7 @@ def test_k2_inverses_are_self():
     for x in (k2_digon(), k2_arc()):
         ctx = CyclotomicContext(6)
         h = h_alpha_matrix(x, ctx)
-        inv = inverse_bipartite_upm(x, ctx).matrix
+        inv = inverse_bipartite_upm(x, ctx)
         assert inv == h  # [[0, w], [conj(w), 0]] squares to the identity
 
 
@@ -62,7 +64,7 @@ def test_inverse_identity_and_zero_diagonal():
         x = doc.to_graph()
         ctx = CyclotomicContext(doc.alpha_order)
         h = h_alpha_matrix(x, ctx)
-        inv = inverse_bipartite_upm(x, ctx).matrix
+        inv = inverse_bipartite_upm(x, ctx)
         product = inv.multiply(h)
         for i in range(x.n):
             assert inv.entry(i, i).is_zero()
@@ -70,12 +72,16 @@ def test_inverse_identity_and_zero_diagonal():
                 assert product[i][j] == (1 if i == j else 0)
 
 
-def test_contributions_match_path_enumeration():
-    docs = h_corpus(4, sizes=(10, 16, 20), unicyclic=True, seed0=700) + h_corpus(
-        3, sizes=(8, 14, 20), unicyclic=False, seed0=720
-    )
-    for doc in docs:
-        x = doc.to_graph()
+def test_recurrence_matches_path_sum_oracle():
+    # the paper's entry: the signed walk values of the co-augmenting paths,
+    # listed here by brute force
+    graphs = [triangular_graph(k, seed=k) for k in range(1, 8)]
+    graphs += [
+        doc.to_graph()
+        for doc in h_corpus(4, sizes=(10, 16, 20), unicyclic=True, seed0=700)
+        + h_corpus(3, sizes=(8, 14, 20), unicyclic=False, seed0=720)
+    ]
+    for x in graphs:
         m = ensure_class_h(x)
         oracle = {
             (i, j): coaug_paths_oracle(x, m, i, j)
@@ -83,28 +89,27 @@ def test_contributions_match_path_enumeration():
             for j in range(x.n)
             if i != j
         }
-        for order in range(2, 7):
-            report = inverse_bipartite_upm(x, CyclotomicContext(order))
-            assert list(report.contributions) == list(oracle)  # every ordered pair
-            for (i, j), bag in report.contributions.items():
-                assert [p for p, _ in bag] == oracle[(i, j)]
-                assert all(s in (1, -1) for _, s in bag)
-                # sign depends only on the edge count
-                for path, s in bag:
-                    assert s == (-1) ** ((len(path) - 2) // 2)
+        for order in (2, 3, 4, 6):
+            ctx = CyclotomicContext(order)
+            inv = inverse_bipartite_upm(x, ctx)
+            for i in range(x.n):
+                assert inv.entry(i, i).is_zero()
+            for (i, j), paths in oracle.items():
+                expect = ctx.zero()
+                for path in paths:
+                    expect = expect + walk_value(x, ctx, path) * (-1) ** ((len(path) - 2) // 2)
+                assert inv.entry(i, j) == expect
 
 
-def test_one_path_enumeration_per_source(monkeypatch):
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return co_augmenting_paths(*args)
-
-    monkeypatch.setattr(inverse, "co_augmenting_paths", counted)
-    doc = h_corpus(1, sizes=(20,), unicyclic=True, seed0=740)[0]
-    inverse_bipartite_upm(doc.to_graph(), CyclotomicContext(3))
-    assert len(calls) == doc.n == 20
+def test_triangular_inverse_at_n80():
+    # 2^41 - 2 co-augmenting paths; the recurrence lists none of them
+    x = triangular_graph(40, seed=80)
+    assert x.n == 80 and x.edge_count == 820
+    for order in (3, 4):
+        ctx = CyclotomicContext(order)
+        inv = inverse_bipartite_upm(x, ctx)
+        assert inv.multiply(h_alpha_matrix(x, ctx)) == ExactHermitianMatrix.identity(ctx, x.n).rows
+        assert all(inv.entry(i, i).is_zero() for i in range(x.n))
 
 
 def test_general_formula_matches_closed_form_on_class_h():
@@ -113,7 +118,7 @@ def test_general_formula_matches_closed_form_on_class_h():
     ):
         x = doc.to_graph()
         ctx = CyclotomicContext(doc.alpha_order)
-        inv = inverse_bipartite_upm(x, ctx).matrix
+        inv = inverse_bipartite_upm(x, ctx)
         for i in range(x.n):
             for j in range(x.n):
                 if i != j:
@@ -187,7 +192,7 @@ def test_coaug_counts_equal_order_two_inverse():
         g = doc.to_graph().underlying()
         m = ensure_class_h(g)
         ctx2 = CyclotomicContext(2)
-        inv = inverse_bipartite_upm(orient_nonmatching(g, m), ctx2).matrix
+        inv = inverse_bipartite_upm(orient_nonmatching(g, m), ctx2)
         for i in range(g.n):
             assert inv.entry(i, i) == 0
             for j in range(g.n):

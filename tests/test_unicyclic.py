@@ -9,7 +9,6 @@ from hermix import (
     ExactHermitianMatrix,
     InternalCheckFailed,
     InvalidParameter,
-    InverseReport,
     MixedGraph,
     NoDoublePath,
     NotAWalk,
@@ -177,7 +176,7 @@ def test_two_peg_entry_equals_path_sum():
     ):
         ctx = CyclotomicContext(3 if k % 2 else 10)
         m = ensure_class_h(x)
-        inv = inverse_bipartite_upm(x, ctx).matrix
+        inv = inverse_bipartite_upm(x, ctx)
         double_pairs = 0
         for i in range(x.n):
             for j in range(i + 1, x.n):
@@ -207,14 +206,14 @@ def test_two_peg_entry_argument_errors():
 def test_exhaustive_search_small_cases():
     ctx = CyclotomicContext(3)
     found = exhaustive_diag_similarity(
-        inverse_bipartite_upm(c4_four_pendants(), ctx).matrix
+        inverse_bipartite_upm(c4_four_pendants(), ctx)
     )
     assert found is not None
     assert found.signs[0] == 1
     # an entry equal to 2 classifies as Other: no diagonal can exist
     assert (
         exhaustive_diag_similarity(
-            inverse_bipartite_upm(c6_two_pendants(), ctx).matrix
+            inverse_bipartite_upm(c6_two_pendants(), ctx)
         )
         is None
     )
@@ -241,7 +240,7 @@ def test_classification_desk_outcomes():
     ctx = CyclotomicContext(3)
     assert sim.conjugated == h_alpha_matrix(sim.graph, ctx)
     assert sim.signs.signs[0] == 1
-    inv = inverse_bipartite_upm(c4_four_pendants(), ctx).matrix
+    inv = inverse_bipartite_upm(c4_four_pendants(), ctx)
     assert inv.conjugated_by_signs(sim.signs.signs) == sim.conjugated
 
 
@@ -267,7 +266,7 @@ def test_two_peg_similar_when_pegs_adjacent():
     assert verdict.conjugated == h_alpha_matrix(verdict.graph, ctx)
     assert not verdict.graph.arcs  # all-digon input conjugates to a plain graph
     assert exhaustive_diag_similarity(
-        inverse_bipartite_upm(x, ctx).matrix
+        inverse_bipartite_upm(x, ctx)
     ) is not None
 
     # orienting a cycle edge moves the double-path bracket off the adjacency
@@ -287,10 +286,9 @@ def test_similarity_certificate_is_verified(monkeypatch):
             classify_gamma_similarity(x)
 
     def inverse_with_diagonal(g, ctx, m):
-        report = inverse_bipartite_upm(g, ctx)
-        rows = [list(row) for row in report.matrix.rows]
+        rows = [list(row) for row in inverse_bipartite_upm(g, ctx).rows]
         rows[0][0] = ctx.one()
-        return InverseReport(ExactHermitianMatrix(ctx, rows), report.contributions)
+        return ExactHermitianMatrix(ctx, rows)
 
     # the classification builds its inverse from the matching it certified
     monkeypatch.setattr(unicyclic, "_inverse_upm", inverse_with_diagonal)
@@ -318,7 +316,7 @@ def test_classification_agrees_with_exhaustive_sample():
     ] + [d.to_graph() for d in h_corpus(12, sizes=(8, 10), unicyclic=True, seed0=1400)]
     for x in pool:
         verdict = classify_gamma_similarity(x)
-        found = exhaustive_diag_similarity(inverse_bipartite_upm(x, ctx).matrix)
+        found = exhaustive_diag_similarity(inverse_bipartite_upm(x, ctx))
         if isinstance(verdict, Similar):
             assert found is not None
             outcomes["similar"] += 1
