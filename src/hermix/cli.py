@@ -25,10 +25,8 @@ from .errors import (
     ParseError,
 )
 from .graph import MixedGraph
-from .inverse import (
-    _adjugate_entry, _coaug_sign, _inverse_upm, inverse_bipartite_upm, orient_nonmatching,
-)
-from .matching import Matching, co_augmenting_paths, ensure_class_h
+from .inverse import _adjugate_entry, _inverse_upm, orient_nonmatching
+from .matching import _coaug_sign, ensure_class_h, paths_by_pair
 from .spectral import (
     LEIBNIZ_CAP,
     ExactHermitianMatrix,
@@ -85,14 +83,15 @@ def command_det(doc: GraphDocument, out) -> int:
 def command_inverse(doc: GraphDocument, show_paths: bool, out) -> int:
     x = doc.to_graph()
     ctx = CyclotomicContext(doc.alpha_order)
-    inv = inverse_bipartite_upm(x, ctx)
+    m = ensure_class_h(x)
+    inv = _inverse_upm(x, ctx, m)
     print(f"alpha_order = {doc.alpha_order}", file=out)
     print("inverse:", file=out)
     for i in range(x.n):
         row = ", ".join(inv.entry(i, j).to_polynomial_string() for j in range(x.n))
         print(f"[{row}]", file=out)
     if show_paths:
-        for (i, j), bag in sorted(paths_by_pair(x, ensure_class_h(x)).items()):
+        for (i, j), bag in sorted(paths_by_pair(x, m).items()):
             if i < j:
                 print(f"paths {i} -> {j}:", file=out)
                 for path in bag:
@@ -114,16 +113,6 @@ def command_classify(doc: GraphDocument, basepoint: int, out) -> int:
     print(f"digons = {[list(e) for e in sorted(verdict.graph.digons)]}", file=out)
     print(f"arcs = {[list(e) for e in sorted(verdict.graph.arcs)]}", file=out)
     return 0
-
-
-def paths_by_pair(x: MixedGraph, m: Matching) -> dict[tuple[int, int], list[tuple[int, ...]]]:
-    """Every co-augmenting path, in lexicographic order, keyed by its (start, end)
-    pair; one search per start vertex. Pairs with no path are absent."""
-    pairs: dict[tuple[int, int], list[tuple[int, ...]]] = {}
-    for i in range(x.n):
-        for path in co_augmenting_paths(x, m, i):
-            pairs.setdefault((i, path[-1]), []).append(path)
-    return pairs
 
 
 class GraphFacts:

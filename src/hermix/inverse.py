@@ -44,11 +44,6 @@ def _adjugate_entry(x: MixedGraph, ctx: CyclotomicContext, i: int, j: int) -> Cy
     return acc
 
 
-def _coaug_sign(path: tuple[int, ...]) -> int:
-    # (-1)^((edge count - 1) / 2); co-augmenting paths have odd edge count
-    return -1 if ((len(path) - 2) // 2) % 2 else 1
-
-
 def inverse_bipartite_upm(x: MixedGraph, ctx: CyclotomicContext) -> ExactHermitianMatrix:
     """Exact inverse for a bipartite unique-perfect-matching graph.
 

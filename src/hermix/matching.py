@@ -170,3 +170,18 @@ def co_augmenting_paths(
     if j is not None:
         return [p for p in out if p[-1] == j]
     return out
+
+
+def paths_by_pair(x: MixedGraph, m: Matching) -> dict[tuple[int, int], list[tuple[int, ...]]]:
+    """Every co-augmenting path, in lexicographic order, keyed by its (start, end)
+    pair; one search per start vertex. Pairs with no path are absent."""
+    pairs: dict[tuple[int, int], list[tuple[int, ...]]] = {}
+    for i in range(x.n):
+        for path in co_augmenting_paths(x, m, i):
+            pairs.setdefault((i, path[-1]), []).append(path)
+    return pairs
+
+
+def _coaug_sign(path: tuple[int, ...]) -> int:
+    # (-1)^((edge count - 1) / 2); co-augmenting paths have odd edge count
+    return -1 if ((len(path) - 2) // 2) % 2 else 1

@@ -24,8 +24,8 @@ from .errors import (
     OddCycleParity,
 )
 from .graph import MixedGraph, balance, unique_cycle
-from .inverse import _coaug_sign, _inverse_upm, orient_nonmatching
-from .matching import Matching, co_augmenting_paths, ensure_class_h
+from .inverse import _inverse_upm, orient_nonmatching
+from .matching import Matching, _coaug_sign, co_augmenting_paths, ensure_class_h
 from .spectral import ExactHermitianMatrix, h_alpha_matrix, walk_value
 
 EXHAUSTIVE_CAP = 16  # largest dimension exhaustive_diag_similarity sweeps

@@ -17,6 +17,7 @@ from hermix import (
     remove_vertices,
     unique_perfect_matching,
 )
+from hermix.matching import paths_by_pair
 
 from conftest import (
     all_perfect_matchings,
@@ -209,17 +210,15 @@ def test_co_augmenting_paths_against_filtered_enumeration():
     ):
         x = doc.to_graph()
         m = ensure_class_h(x)
+        pairs = paths_by_pair(x, m)
         for i in range(x.n):
-            by_end = {j: [] for j in range(x.n) if j != i}
-            for path in co_augmenting_paths(x, m, i):
-                by_end[path[-1]].append(path)
             for j in range(x.n):
                 if i != j:
                     assert co_augmenting_paths(x, m, i, j) == coaug_paths_oracle(
                         x, m, i, j
                     )
-            # every path from i, in order, is the per-pair lists merged
-            assert by_end == {j: co_augmenting_paths(x, m, i, j) for j in by_end}
+                    # one search per start vertex, grouped by end, gives each pair's list
+                    assert pairs.get((i, j), []) == co_augmenting_paths(x, m, i, j)
 
 
 def test_co_augmenting_paths_matched_pair_is_single_edge():
