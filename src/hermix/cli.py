@@ -87,9 +87,12 @@ def command_inverse(doc: GraphDocument, show_paths: bool, out) -> int:
     inv = _inverse_upm(x, ctx, m)
     print(f"alpha_order = {doc.alpha_order}", file=out)
     print("inverse:", file=out)
-    for i in range(x.n):
-        row = ", ".join(inv.entry(i, j).to_polynomial_string() for j in range(x.n))
-        print(f"[{row}]", file=out)
+    # each distinct value is rendered once; entries are looked up by identity
+    objs = {id(v): v for row in inv.rows for v in row}
+    texts = {v: v.to_polynomial_string() for v in set(objs.values())}
+    text = {key: texts[v] for key, v in objs.items()}.__getitem__
+    for row in inv.rows:
+        print(f"[{', '.join(map(text, map(id, row)))}]", file=out)
     if show_paths:
         for (i, j), bag in sorted(paths_by_pair(x, m).items()):
             if i < j:

@@ -28,15 +28,23 @@ class ExactHermitianMatrix:
         self.ctx = ctx
         self.rows = tuple(tuple(row) for row in rows)
         self.dim = len(self.rows)
-        for i, row in enumerate(self.rows):
-            if len(row) != self.dim:
-                raise ValueError("matrix is not square")
-            for j in range(i, self.dim):
-                a, b = self.rows[i][j], self.rows[j][i]
-                if a.ctx.order != ctx.order or b.ctx.order != ctx.order:
-                    raise ContextMismatch("entry from a different cyclotomic field")
-                if a != b.conj():
-                    raise ValueError(f"not hermitian at ({i}, {j})")
+        if any(len(row) != self.dim for row in self.rows):
+            raise ValueError("matrix is not square")
+        # each distinct entry object has its field checked and its conjugate
+        # taken once; the conjugate transpose is then built by identity lookup
+        distinct = {id(a): a for row in self.rows for a in row}
+        if any(a.ctx.order != ctx.order for a in distinct.values()):
+            raise ContextMismatch("entry from a different cyclotomic field")
+        conj = {key: a.conj() for key, a in distinct.items()}.__getitem__
+        star = tuple(tuple(map(conj, map(id, col))) for col in zip(*self.rows))
+        if star != self.rows:
+            i, j = next(
+                (i, j)
+                for i in range(self.dim)
+                for j in range(i, self.dim)
+                if self.rows[i][j] != star[i][j]
+            )
+            raise ValueError(f"not hermitian at ({i}, {j})")
 
     def entry(self, i: int, j: int) -> CyclotomicNumber:
         return self.rows[i][j]
@@ -72,12 +80,10 @@ class ExactHermitianMatrix:
         """D * M * D for a +-1 diagonal D."""
         if len(signs) != self.dim or any(s not in (1, -1) for s in signs):
             raise ValueError("signs must be +-1 of matching length")
+        zero = self.ctx.zero()
         rows = [
-            [
-                self.rows[i][j] if signs[i] * signs[j] == 1 else -self.rows[i][j]
-                for j in range(self.dim)
-            ]
-            for i in range(self.dim)
+            [a if s == t or a is zero else -a for t, a in zip(signs, row)]
+            for s, row in zip(signs, self.rows)
         ]
         return ExactHermitianMatrix(self.ctx, rows)
 

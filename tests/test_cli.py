@@ -149,6 +149,32 @@ def test_inverse_paths_listing():
     assert "paths 0 -> 2:" not in lines
 
 
+def test_inverse_render_matches_entrywise_render(monkeypatch, tmp_path):
+    doc = tmp_path / "n70.json"
+    doc.write_text(render_document(replace(generate_instance(7, 70, unicyclic=True), alpha_order=3)))
+    built, rendered = [], []
+
+    def upm_kept(g, ctx, m):
+        built.append(_inverse_upm(g, ctx, m))
+        return built[-1]
+
+    def counted(self):
+        rendered.append(self)
+        return render(self)
+
+    render = CyclotomicNumber.to_polynomial_string
+    patch_every_holder(monkeypatch, _inverse_upm, upm_kept)
+    monkeypatch.setattr(CyclotomicNumber, "to_polynomial_string", counted)
+    code, out, _ = run_cli(["inverse", str(doc)])
+    assert code == 0
+    (inv,) = built
+    rows = [", ".join(render(inv.entry(i, j)) for j in range(70)) for i in range(70)]
+    assert out == "alpha_order = 3\ninverse:\n" + "".join(f"[{row}]\n" for row in rows)
+    # each distinct value is rendered once, not each of the 4,900 entries
+    distinct = {v for row in inv.rows for v in row}
+    assert 1 < len(rendered) <= len(distinct) < 100
+
+
 def test_classify_basepoint_flag():
     code, out, _ = run_cli(
         ["classify", "--basepoint", "3", str(DATA / "c4_four_pendants.json")]

@@ -3,11 +3,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hermix import (
     ContextMismatch,
     ElementarySubgraph,
     CyclotomicContext,
+    CyclotomicNumber,
     DimensionTooLarge,
     ExactHermitianMatrix,
     MixedGraph,
@@ -17,12 +20,14 @@ from hermix import (
     det_via_elementary,
     enumerate_spanning_elementary,
     h_alpha_matrix,
+    inverse_bipartite_upm,
     numeric_inverse,
     walk_value,
 )
 
 from conftest import (
     deep_path,
+    h_corpus,
     k2_arc,
     k2_digon,
     library_elementary_canonical,
@@ -35,14 +40,20 @@ from conftest import (
 
 def test_matrix_must_be_hermitian():
     ctx = CyclotomicContext(4)
-    a = ctx.root_power(1)
-    with pytest.raises(ValueError):
-        ExactHermitianMatrix(ctx, [[ctx.zero(), a], [a, ctx.zero()]])
+    zero, a = ctx.zero(), ctx.root_power(1)
+    # one non-real object at both (0, 1) and (1, 0), and one on the diagonal
+    with pytest.raises(ValueError, match=r"not hermitian at \(0, 1\)$"):
+        ExactHermitianMatrix(ctx, [[zero, a], [a, zero]])
+    with pytest.raises(ValueError, match=r"not hermitian at \(0, 0\)$"):
+        ExactHermitianMatrix(ctx, [[a]])
     # rational entries are their own conjugates, and asymmetry is still caught
     for rational in ([[0, 1], [2, 0]], [[0, 1], [0, 0]]):
         with pytest.raises(ValueError):
             ExactHermitianMatrix(ctx, [[ctx.from_rational(q) for q in row] for row in rational])
-    ExactHermitianMatrix(ctx, [[ctx.zero(), a], [a.conj(), ctx.zero()]])
+    ExactHermitianMatrix(ctx, [[zero, a], [a.conj(), zero]])
+    for ragged in ([[zero, zero], [zero]], [[zero] * 3, [zero] * 3, [zero]], [[zero], [zero, zero]]):
+        with pytest.raises(ValueError, match="not square"):
+            ExactHermitianMatrix(ctx, ragged)
 
 
 def test_matrix_rejects_foreign_entries():
@@ -50,6 +61,65 @@ def test_matrix_rejects_foreign_entries():
     alien = CyclotomicContext(3).one()
     with pytest.raises(ContextMismatch):
         ExactHermitianMatrix(ctx, [[alien]])
+    # deep inside an otherwise hermitian matrix, with a value that would pass
+    h = [list(row) for row in h_alpha_matrix(p4(), ctx).rows]
+    h[3][3] = CyclotomicContext(3).zero()
+    with pytest.raises(ContextMismatch):
+        ExactHermitianMatrix(ctx, h)
+
+
+def first_pairwise_failure(rows):
+    """The constructor's former rule, pair by pair over i <= j in row-major
+    order: entry (i, j) must equal conj of entry (j, i). None when it holds."""
+    dim = len(rows)
+    return next(
+        ((i, j) for i in range(dim) for j in range(i, dim) if rows[i][j] != rows[j][i].conj()),
+        None,
+    )
+
+
+def test_matrix_check_names_first_fault_in_row_major_order():
+    ctx = CyclotomicContext(3)
+    two = ctx.from_rational(2)
+    h = [list(row) for row in h_alpha_matrix(p4(), ctx).rows]
+    h[3][1] = two  # only the lower triangle is wrong: reported as (1, 3)
+    with pytest.raises(ValueError, match=r"not hermitian at \(1, 3\)$"):
+        ExactHermitianMatrix(ctx, h)
+    h[2][0] = two  # (0, 2) comes before (1, 3)
+    with pytest.raises(ValueError, match=r"not hermitian at \(0, 2\)$"):
+        ExactHermitianMatrix(ctx, h)
+    h[1][1] = ctx.root_power(1)  # (0, 2) still comes first
+    with pytest.raises(ValueError, match=r"not hermitian at \(0, 2\)$"):
+        ExactHermitianMatrix(ctx, h)
+
+
+@given(st.data())
+def test_matrix_check_matches_pairwise_rule(data):
+    ctx = CyclotomicContext(data.draw(st.sampled_from((2, 3, 4))))
+    coeffs = st.lists(st.integers(-2, 2), min_size=ctx.degree, max_size=ctx.degree)
+    # a few shared objects and their conjugates; equal values may sit in
+    # distinct objects, and rational entries are their own conjugates
+    base = [CyclotomicNumber(ctx, c) for c in data.draw(st.lists(coeffs, min_size=1, max_size=3))]
+    pool = base + [a.conj() for a in base]
+    partner = pool[len(base):] + base  # partner[k] is the conjugate of pool[k]
+    pick = st.integers(0, len(pool) - 1)
+    dim = data.draw(st.integers(1, 4))
+    # start hermitian: a real diagonal and conjugate partners across it ...
+    rows = [[None] * dim for _ in range(dim)]
+    for i in range(dim):
+        for j in range(i, dim):
+            k = data.draw(pick)
+            rows[i][j], rows[j][i] = (pool[k], partner[k]) if j > i else (pool[k] + partner[k],) * 2
+    # ... then overwrite up to two entries with pool objects
+    place = st.integers(0, dim - 1)
+    for _ in range(data.draw(st.integers(0, 2))):
+        rows[data.draw(place)][data.draw(place)] = pool[data.draw(pick)]
+    fault = first_pairwise_failure(rows)
+    if fault is None:
+        assert ExactHermitianMatrix(ctx, rows).rows == tuple(map(tuple, rows))
+    else:
+        with pytest.raises(ValueError, match=rf"not hermitian at \({fault[0]}, {fault[1]}\)$"):
+            ExactHermitianMatrix(ctx, rows)
 
 
 def test_h_alpha_matrix_entries():
@@ -70,6 +140,19 @@ def test_conjugation_by_signs():
     assert flipped.entry(0, 2) == h.entry(0, 2)
     with pytest.raises(ValueError):
         h.conjugated_by_signs((1, 2, 1, 1))
+    # entry (i, j) is d_i * d_j * M_ij, on adjacency matrices and inverses
+    rng = random.Random(24)
+    docs = h_corpus(6, sizes=(6, 10, 16), unicyclic=True, seed0=1300) + h_corpus(
+        6, sizes=(6, 10, 16), unicyclic=False, seed0=1320
+    )
+    for doc in docs:
+        x = doc.to_graph()
+        for order in (3, 6):
+            ctx = CyclotomicContext(order)
+            for m in (h_alpha_matrix(x, ctx), inverse_bipartite_upm(x, ctx)):
+                d = [rng.choice((1, -1)) for _ in range(x.n)]
+                want = [[d[i] * d[j] * m.entry(i, j) for j in range(x.n)] for i in range(x.n)]
+                assert m.conjugated_by_signs(d).rows == tuple(map(tuple, want))
 
 
 def test_walk_value_products_and_errors():
