@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 from itertools import permutations, product
 from typing import Callable
 
@@ -87,12 +88,14 @@ def command_inverse(doc: GraphDocument, show_paths: bool, out) -> int:
     inv = _inverse_upm(x, ctx, m)
     print(f"alpha_order = {doc.alpha_order}", file=out)
     print("inverse:", file=out)
-    # each distinct value is rendered once; entries are looked up by identity
-    objs = {id(v): v for row in inv.rows for v in row}
-    texts = {v: v.to_polynomial_string() for v in set(objs.values())}
-    text = {key: texts[v] for key, v in objs.items()}.__getitem__
+    # each distinct nonzero value is rendered once; the rest of a row is zero
+    text = {v: v.to_polynomial_string() for v in {v for row in inv.rows for v in row.values()}}
+    blank = ctx.zero().to_polynomial_string()
     for row in inv.rows:
-        print(f"[{', '.join(map(text, map(id, row)))}]", file=out)
+        cells = [blank] * x.n
+        for j, v in row.items():
+            cells[j] = text[v]
+        print(f"[{', '.join(cells)}]", file=out)
     if show_paths:
         for (i, j), bag in sorted(paths_by_pair(x, m).items()):
             if i < j:
@@ -253,6 +256,7 @@ def command_gen(args, out) -> int:
     return 0
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hermix",

@@ -10,8 +10,6 @@ one recurrence builds it, listing no path, in O(n * |E|) field operations.
 
 from __future__ import annotations
 
-from itertools import repeat
-
 from .cyclotomic import CyclotomicContext, CyclotomicNumber
 from .errors import HasArcs, InvalidParameter, NotPerfect, SameVertex, SingularMatrix
 from .graph import MixedGraph, enumerate_paths, remove_vertices
@@ -79,8 +77,7 @@ def _inverse_upm(x: MixedGraph, ctx: CyclotomicContext, m: Matching) -> ExactHer
                 for j, v in rows[u].items():
                     row[j] = row[j] + c * v if j in row else c * v
         rows[i] = {j: v for j, v in row.items() if not v.is_zero()}
-    cols, zeros = range(x.n), repeat(ctx.zero())
-    return ExactHermitianMatrix(ctx, [map(row.get, cols, zeros) for row in rows])
+    return ExactHermitianMatrix(ctx, rows)
 
 
 def orient_nonmatching(g: MixedGraph, m: Matching) -> MixedGraph:

@@ -20,92 +20,76 @@ RESIDUAL_TOLERANCE = 1e-9
 
 
 class ExactHermitianMatrix:
-    """Square matrix over one cyclotomic field, hermitian by checked invariant."""
+    """Square matrix over one cyclotomic field, hermitian by checked invariant.
+
+    Row i is a dict from column j to the nonzero entry (i, j); an absent
+    column is zero, and explicit zeros are dropped on construction.
+    """
 
     __slots__ = ("ctx", "dim", "rows")
 
     def __init__(self, ctx: CyclotomicContext, rows):
-        self.ctx = ctx
-        self.rows = tuple(tuple(row) for row in rows)
-        self.dim = len(self.rows)
-        if any(len(row) != self.dim for row in self.rows):
-            raise ValueError("matrix is not square")
-        # each distinct entry object has its field checked and its conjugate
-        # taken once; the conjugate transpose is then built by identity lookup
-        distinct = {id(a): a for row in self.rows for a in row}
-        if any(a.ctx.order != ctx.order for a in distinct.values()):
+        rows = tuple(rows)
+        if any(a.ctx.order != ctx.order for row in rows for a in row.values()):
             raise ContextMismatch("entry from a different cyclotomic field")
-        conj = {key: a.conj() for key, a in distinct.items()}.__getitem__
-        star = tuple(tuple(map(conj, map(id, col))) for col in zip(*self.rows))
-        if star != self.rows:
-            i, j = next(
-                (i, j)
-                for i in range(self.dim)
-                for j in range(i, self.dim)
-                if self.rows[i][j] != star[i][j]
-            )
-            raise ValueError(f"not hermitian at ({i}, {j})")
+        cols = range(len(rows))
+        if any(j not in cols for row in rows for j in row):
+            raise ValueError(f"column outside 0..{len(rows) - 1}")
+        self.ctx, self.dim = ctx, len(rows)
+        self.rows = tuple({j: a for j, a in row.items() if not a.is_zero()} for row in rows)
+        # every stored (i, j) needs its conjugate stored at (j, i); a fault is
+        # reported at the first pair i <= j in row-major order
+        faults = [
+            (min(i, j), max(i, j))
+            for i, row in enumerate(self.rows)
+            for j, a in row.items()
+            if self.rows[j].get(i) != a.conj()
+        ]
+        if faults:
+            raise ValueError(f"not hermitian at {min(faults)}")
 
     def entry(self, i: int, j: int) -> CyclotomicNumber:
-        return self.rows[i][j]
+        return self.rows[i].get(j, self.ctx.zero())
 
     @classmethod
     def identity(cls, ctx: CyclotomicContext, dim: int) -> "ExactHermitianMatrix":
-        one, zero = ctx.one(), ctx.zero()
-        return cls(ctx, [[one if i == j else zero for j in range(dim)] for i in range(dim)])
+        return cls(ctx, [{i: ctx.one()} for i in range(dim)])
 
     def multiply(self, other: "ExactHermitianMatrix"):
-        """Plain matrix product as a nested tuple (not hermitian in general)."""
+        """Plain matrix product as a tuple of rows in the same sparse format
+        (not hermitian in general)."""
         if other.dim != self.dim or other.ctx.order != self.ctx.order:
             raise ContextMismatch("operands do not match")
-        zero = self.ctx.zero()
         out = []
-        for i in range(self.dim):
-            row = []
-            for j in range(self.dim):
-                acc = zero
-                for k in range(self.dim):
-                    a = self.rows[i][k]
-                    if a.is_zero():
-                        continue
-                    b = other.rows[k][j]
-                    if b.is_zero():
-                        continue
-                    acc = acc + a * b
-                row.append(acc)
-            out.append(tuple(row))
+        for row in self.rows:
+            acc = {}
+            for k, a in row.items():
+                for j, b in other.rows[k].items():
+                    acc[j] = acc[j] + a * b if j in acc else a * b
+            out.append({j: v for j, v in acc.items() if not v.is_zero()})
         return tuple(out)
 
     def conjugated_by_signs(self, signs) -> "ExactHermitianMatrix":
         """D * M * D for a +-1 diagonal D."""
         if len(signs) != self.dim or any(s not in (1, -1) for s in signs):
             raise ValueError("signs must be +-1 of matching length")
-        zero = self.ctx.zero()
         rows = [
-            [a if s == t or a is zero else -a for t, a in zip(signs, row)]
+            {j: a if s == signs[j] else -a for j, a in row.items()}
             for s, row in zip(signs, self.rows)
         ]
         return ExactHermitianMatrix(self.ctx, rows)
 
     def to_complex(self) -> np.ndarray:
         out = np.zeros((self.dim, self.dim), dtype=complex)
-        for i in range(self.dim):
-            for j in range(self.dim):
-                out[i, j] = self.rows[i][j].to_complex()
+        for i, row in enumerate(self.rows):
+            for j, a in row.items():
+                out[i, j] = a.to_complex()
         return out
 
     def __eq__(self, other):
         if not isinstance(other, ExactHermitianMatrix):
             return NotImplemented
-        return (
-            self.ctx.order == other.ctx.order
-            and self.dim == other.dim
-            and all(
-                self.rows[i][j] == other.rows[i][j]
-                for i in range(self.dim)
-                for j in range(self.dim)
-            )
-        )
+        return self.ctx.order == other.ctx.order and self.rows == other.rows
 
     def __repr__(self):
         return f"ExactHermitianMatrix(order={self.ctx.order}, dim={self.dim})"
@@ -113,14 +97,10 @@ class ExactHermitianMatrix:
 
 def h_alpha_matrix(x: MixedGraph, ctx: CyclotomicContext) -> ExactHermitianMatrix:
     """Entry (u, v): 1 for a digon, alpha for arc u->v, conj(alpha) for arc v->u."""
-    zero = ctx.zero()
-    rows = []
-    for u in range(x.n):
-        row = []
-        for v in range(x.n):
-            e = x.hermitian_exponent(u, v)
-            row.append(zero if e is None else ctx.root_power(e))
-        rows.append(row)
+    rows = [
+        {v: ctx.root_power(x.hermitian_exponent(u, v)) for v in x.adjacency[u]}
+        for u in range(x.n)
+    ]
     return ExactHermitianMatrix(ctx, rows)
 
 
@@ -251,8 +231,8 @@ def det_leibniz(h: ExactHermitianMatrix) -> CyclotomicNumber:
         while rest:
             low = rest & -rest
             j = low.bit_length() - 1
-            a = h.rows[row][j]
-            if not a.is_zero():
+            a = h.rows[row].get(j)
+            if a is not None:
                 sub = minor(free ^ low)
                 if not sub.is_zero():
                     contrib = a * sub

@@ -8,7 +8,6 @@ from dataclasses import dataclass
 
 from .cyclotomic import (
     OTHER,
-    ZERO,
     CyclotomicContext,
     CyclotomicNumber,
     classify_entry,
@@ -197,11 +196,11 @@ def _signed_entries(mat: ExactHermitianMatrix) -> list[tuple] | None:
     is a negative power.
     """
     out = []
-    for i in range(mat.dim):
-        for j in range(i, mat.dim):
-            kind = classify_entry(mat.entry(i, j))
-            if kind is ZERO:
+    for i, row in enumerate(mat.rows):
+        for j, a in sorted(row.items()):
+            if j < i:
                 continue
+            kind = classify_entry(a)
             if kind is OTHER or (i == j and kind.sign != 1):
                 return None
             out.append((i, j, kind))
@@ -262,7 +261,8 @@ def classify_gamma_similarity(x: MixedGraph, basepoint: int = 0):
     similarity holds exactly when no inverse entry classifies as Other and the
     pairwise sign constraints (product +1 across entries +gamma^k, -1 across
     -gamma^k) admit a global 2-coloring. The coloring spreads from the
-    basepoint and the certificate is re-verified entry by entry.
+    basepoint and the certificate is re-verified against the witness graph's
+    matrix.
 
     When no coloring exists the reported reason is the structural obstruction.
     With more than two pegs every vertex pair is joined by at most one
@@ -318,9 +318,6 @@ def _classify(x: MixedGraph, info: PegInfo, hinv: ExactHermitianMatrix, basepoin
         [(i, j) if k.exponent == 1 else (j, i) for i, j, k in entries if k.exponent],
     )
     conj = hinv.conjugated_by_signs(signs)
-    for i, j, _ in entries:
-        if conj.entry(i, j) != hinv.ctx.root_power(graph.hermitian_exponent(i, j)):
-            raise InternalCheckFailed(
-                f"certificate entry ({i}, {j}) is not an adjacency value"
-            )
+    if conj != h_alpha_matrix(graph, hinv.ctx):
+        raise InternalCheckFailed("a certificate entry is not an adjacency value")
     return Similar(DiagonalSigns(tuple(signs), basepoint), graph, conj)

@@ -113,6 +113,17 @@ def pentagon_tail() -> MixedGraph:
     )
 
 
+def sparse(dense) -> list[dict]:
+    """Dense rows in the matrix format, column -> entry. Zeros are kept; the
+    ExactHermitianMatrix constructor drops them."""
+    return [dict(enumerate(row)) for row in dense]
+
+
+def dense(mat) -> list[list]:
+    """Every entry of an ExactHermitianMatrix, zeros included."""
+    return [[mat.entry(i, j) for j in range(mat.dim)] for i in range(mat.dim)]
+
+
 # -- brute-force oracles ------------------------------------------------------
 
 

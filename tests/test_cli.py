@@ -170,9 +170,10 @@ def test_inverse_render_matches_entrywise_render(monkeypatch, tmp_path):
     (inv,) = built
     rows = [", ".join(render(inv.entry(i, j)) for j in range(70)) for i in range(70)]
     assert out == "alpha_order = 3\ninverse:\n" + "".join(f"[{row}]\n" for row in rows)
-    # each distinct value is rendered once, not each of the 4,900 entries
-    distinct = {v for row in inv.rows for v in row}
-    assert 1 < len(rendered) <= len(distinct) < 100
+    # each distinct nonzero value is rendered once, and zero once, not each
+    # of the 4,900 entries
+    distinct = {v for row in inv.rows for v in row.values()}
+    assert 1 < len(rendered) <= len(distinct) + 1 < 100
 
 
 def test_classify_basepoint_flag():

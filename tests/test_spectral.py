@@ -27,6 +27,7 @@ from hermix import (
 
 from conftest import (
     deep_path,
+    dense,
     h_corpus,
     k2_arc,
     k2_digon,
@@ -35,42 +36,62 @@ from conftest import (
     pentagon_tail,
     random_mixed_graph,
     spanning_elementary_oracle,
+    sparse,
 )
 
 
 def test_matrix_must_be_hermitian():
     ctx = CyclotomicContext(4)
     zero, a = ctx.zero(), ctx.root_power(1)
-    # one non-real object at both (0, 1) and (1, 0), and one on the diagonal
+    # one non-real value at both (0, 1) and (1, 0), and one on the diagonal
     with pytest.raises(ValueError, match=r"not hermitian at \(0, 1\)$"):
-        ExactHermitianMatrix(ctx, [[zero, a], [a, zero]])
+        ExactHermitianMatrix(ctx, [{1: a}, {0: a}])
     with pytest.raises(ValueError, match=r"not hermitian at \(0, 0\)$"):
-        ExactHermitianMatrix(ctx, [[a]])
+        ExactHermitianMatrix(ctx, [{0: a}])
     # rational entries are their own conjugates, and asymmetry is still caught
     for rational in ([[0, 1], [2, 0]], [[0, 1], [0, 0]]):
         with pytest.raises(ValueError):
-            ExactHermitianMatrix(ctx, [[ctx.from_rational(q) for q in row] for row in rational])
-    ExactHermitianMatrix(ctx, [[zero, a], [a.conj(), zero]])
-    for ragged in ([[zero, zero], [zero]], [[zero] * 3, [zero] * 3, [zero]], [[zero], [zero, zero]]):
-        with pytest.raises(ValueError, match="not square"):
-            ExactHermitianMatrix(ctx, ragged)
+            ExactHermitianMatrix(ctx, sparse([[ctx.from_rational(q) for q in row] for row in rational]))
+    # a stored (i, j) with nothing stored at (j, i), above or below the diagonal
+    for rows in ([{2: a}, {}, {}], [{}, {}, {0: a}]):
+        with pytest.raises(ValueError, match=r"not hermitian at \(0, 2\)$"):
+            ExactHermitianMatrix(ctx, rows)
+    ExactHermitianMatrix(ctx, [{1: a}, {0: a.conj()}])
+    # a column outside the matrix, even one holding a zero
+    for bad in ([{2: a}, {}], [{}, {-1: a}], [{1: a}, {0: a.conj(), 5: zero}]):
+        with pytest.raises(ValueError, match=r"column outside 0\.\.1$"):
+            ExactHermitianMatrix(ctx, bad)
+
+
+def test_matrix_drops_explicit_zeros():
+    ctx = CyclotomicContext(3)
+    h = h_alpha_matrix(p4(), ctx)
+    full = ExactHermitianMatrix(ctx, sparse(dense(h)))
+    assert full == h and full.rows == h.rows
+    # an explicit zero needs no partner across the diagonal
+    rows = [dict(row) for row in h.rows]
+    rows[0][3] = ctx.zero()
+    assert ExactHermitianMatrix(ctx, rows) == h
+    assert ExactHermitianMatrix(ctx, [{0: ctx.zero()}]) == ExactHermitianMatrix(ctx, [{}])
 
 
 def test_matrix_rejects_foreign_entries():
     ctx = CyclotomicContext(4)
     alien = CyclotomicContext(3).one()
     with pytest.raises(ContextMismatch):
-        ExactHermitianMatrix(ctx, [[alien]])
-    # deep inside an otherwise hermitian matrix, with a value that would pass
-    h = [list(row) for row in h_alpha_matrix(p4(), ctx).rows]
+        ExactHermitianMatrix(ctx, [{0: alien}])
+    # deep inside an otherwise hermitian matrix, with a zero the constructor
+    # would otherwise drop
+    h = sparse(dense(h_alpha_matrix(p4(), ctx)))
     h[3][3] = CyclotomicContext(3).zero()
     with pytest.raises(ContextMismatch):
         ExactHermitianMatrix(ctx, h)
 
 
 def first_pairwise_failure(rows):
-    """The constructor's former rule, pair by pair over i <= j in row-major
-    order: entry (i, j) must equal conj of entry (j, i). None when it holds."""
+    """The constructor's former rule on dense rows, pair by pair over i <= j
+    in row-major order: entry (i, j) must equal conj of entry (j, i). None
+    when it holds."""
     dim = len(rows)
     return next(
         ((i, j) for i in range(dim) for j in range(i, dim) if rows[i][j] != rows[j][i].conj()),
@@ -81,7 +102,7 @@ def first_pairwise_failure(rows):
 def test_matrix_check_names_first_fault_in_row_major_order():
     ctx = CyclotomicContext(3)
     two = ctx.from_rational(2)
-    h = [list(row) for row in h_alpha_matrix(p4(), ctx).rows]
+    h = sparse(dense(h_alpha_matrix(p4(), ctx)))
     h[3][1] = two  # only the lower triangle is wrong: reported as (1, 3)
     with pytest.raises(ValueError, match=r"not hermitian at \(1, 3\)$"):
         ExactHermitianMatrix(ctx, h)
@@ -97,8 +118,8 @@ def test_matrix_check_names_first_fault_in_row_major_order():
 def test_matrix_check_matches_pairwise_rule(data):
     ctx = CyclotomicContext(data.draw(st.sampled_from((2, 3, 4))))
     coeffs = st.lists(st.integers(-2, 2), min_size=ctx.degree, max_size=ctx.degree)
-    # a few shared objects and their conjugates; equal values may sit in
-    # distinct objects, and rational entries are their own conjugates
+    # a few shared values and their conjugates, zero among them at times;
+    # rational entries are their own conjugates
     base = [CyclotomicNumber(ctx, c) for c in data.draw(st.lists(coeffs, min_size=1, max_size=3))]
     pool = base + [a.conj() for a in base]
     partner = pool[len(base):] + base  # partner[k] is the conjugate of pool[k]
@@ -110,16 +131,16 @@ def test_matrix_check_matches_pairwise_rule(data):
         for j in range(i, dim):
             k = data.draw(pick)
             rows[i][j], rows[j][i] = (pool[k], partner[k]) if j > i else (pool[k] + partner[k],) * 2
-    # ... then overwrite up to two entries with pool objects
+    # ... then overwrite up to two entries with pool values
     place = st.integers(0, dim - 1)
     for _ in range(data.draw(st.integers(0, 2))):
         rows[data.draw(place)][data.draw(place)] = pool[data.draw(pick)]
     fault = first_pairwise_failure(rows)
     if fault is None:
-        assert ExactHermitianMatrix(ctx, rows).rows == tuple(map(tuple, rows))
+        assert dense(ExactHermitianMatrix(ctx, sparse(rows))) == rows
     else:
         with pytest.raises(ValueError, match=rf"not hermitian at \({fault[0]}, {fault[1]}\)$"):
-            ExactHermitianMatrix(ctx, rows)
+            ExactHermitianMatrix(ctx, sparse(rows))
 
 
 def test_h_alpha_matrix_entries():
@@ -152,7 +173,7 @@ def test_conjugation_by_signs():
             for m in (h_alpha_matrix(x, ctx), inverse_bipartite_upm(x, ctx)):
                 d = [rng.choice((1, -1)) for _ in range(x.n)]
                 want = [[d[i] * d[j] * m.entry(i, j) for j in range(x.n)] for i in range(x.n)]
-                assert m.conjugated_by_signs(d).rows == tuple(map(tuple, want))
+                assert dense(m.conjugated_by_signs(d)) == want
 
 
 def test_walk_value_products_and_errors():

@@ -27,6 +27,7 @@ from hermix import (
     ensure_class_h,
     exhaustive_diag_similarity,
     f_walk,
+    generate_instance,
     h_alpha_matrix,
     inverse_bipartite_upm,
     OddCycleParity,
@@ -286,7 +287,7 @@ def test_similarity_certificate_is_verified(monkeypatch):
             classify_gamma_similarity(x)
 
     def inverse_with_diagonal(g, ctx, m):
-        rows = [list(row) for row in inverse_bipartite_upm(g, ctx).rows]
+        rows = [dict(row) for row in inverse_bipartite_upm(g, ctx).rows]
         rows[0][0] = ctx.one()
         return ExactHermitianMatrix(ctx, rows)
 
@@ -294,6 +295,23 @@ def test_similarity_certificate_is_verified(monkeypatch):
     monkeypatch.setattr(unicyclic, "_inverse_upm", inverse_with_diagonal)
     with pytest.raises(InternalCheckFailed):
         classify_gamma_similarity(x)
+
+
+def test_classify_reads_only_nonzero_entries(monkeypatch):
+    # the order-3 inverse has 820 nonzeros of 25,600 entries, none on the
+    # diagonal: 410 in the upper triangle, the only ones worth classifying
+    x = generate_instance(1, 160, True).to_graph()
+    inv = inverse_bipartite_upm(x, CyclotomicContext(3))
+    nonzeros = sum(not inv.entry(i, j).is_zero() for i in range(x.n) for j in range(x.n))
+    calls = []
+
+    def counted(a):
+        calls.append(a)
+        return classify_entry(a)
+
+    monkeypatch.setattr(unicyclic, "classify_entry", counted)
+    classify_gamma_similarity(x)
+    assert 0 < len(calls) <= nonzeros // 2
 
 
 def test_classification_rejects_wrong_shapes():
