@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Iterable, NamedTuple
 
 from .errors import (
@@ -16,48 +17,39 @@ from .errors import (
 
 
 class MixedGraph:
-    """Immutable mixed graph. At most one edge (digon or arc) per vertex pair."""
+    """Immutable mixed graph. At most one edge (digon or arc) per vertex pair.
 
-    __slots__ = ("n", "digons", "arcs", "_adj", "_kind")
+    ``adjacency[u]`` is the read-only row of vertex u: a mapping from each
+    neighbour v, in increasing order, to the power of alpha at matrix position
+    (u, v), which is 0 for a digon, +1 for an arc u->v and -1 for an arc v->u.
+    """
+
+    __slots__ = ("n", "digons", "arcs", "adjacency")
 
     def __init__(self, n: int, digons: Iterable = (), arcs: Iterable = ()):
         if not isinstance(n, int) or n < 0:
             raise BadVertexId(f"vertex count must be a nonnegative integer, got {n!r}")
         self.n = n
-        seen: set[tuple[int, int]] = set()
-        kind: dict[tuple[int, int], int] = {}
-        digon_set = set()
-        for u, v in digons:
-            key = self._edge_key(u, v)
-            if key in seen:
-                raise DuplicateEdge(f"pair {key} used more than once")
-            seen.add(key)
-            digon_set.add(key)
-            kind[key] = 0
-        arc_set = set()
-        for u, v in arcs:
-            key = self._edge_key(u, v)
-            if key in seen:
-                raise DuplicateEdge(f"pair {key} used more than once")
-            seen.add(key)
-            arc_set.add((u, v))
-            kind[key] = 1 if (u, v) == key else -1
-        self.digons = frozenset(digon_set)
-        self.arcs = frozenset(arc_set)
-        self._kind = kind
-        adj: list[list[int]] = [[] for _ in range(n)]
-        for u, v in seen:
-            adj[u].append(v)
-            adj[v].append(u)
-        self._adj = tuple(tuple(sorted(a)) for a in adj)
-
-    def _edge_key(self, u, v) -> tuple[int, int]:
-        for w in (u, v):
-            if not isinstance(w, int) or not 0 <= w < self.n:
-                raise BadVertexId(f"vertex {w!r} outside 0..{self.n - 1}")
-        if u == v:
-            raise SelfLoop(f"self-loop at {u}")
-        return (u, v) if u < v else (v, u)
+        pairs: dict[tuple[int, int], int] = {}  # low-high pair -> exponent at (low, high)
+        for edges, e in ((digons, 0), (arcs, 1)):
+            for u, v in edges:
+                if not (type(u) is int and type(v) is int and 0 <= u < n and 0 <= v < n):
+                    self.check_vertex(u)  # any other id: the full check, in order
+                    self.check_vertex(v)
+                if u == v:
+                    raise SelfLoop(f"self-loop at {u}")
+                key = (u, v) if u < v else (v, u)
+                if key in pairs:
+                    raise DuplicateEdge(f"pair {key} used more than once")
+                pairs[key] = e if u < v else -e
+        # filled in pair order, every row gets its neighbours in increasing order
+        rows: list[dict[int, int]] = [{} for _ in range(n)]
+        for u, v in sorted(pairs):
+            e = pairs[u, v]
+            rows[u][v], rows[v][u] = e, -e
+        self.adjacency = tuple(map(MappingProxyType, rows))
+        self.digons = frozenset(key for key, e in pairs.items() if not e)
+        self.arcs = frozenset(key if e == 1 else key[::-1] for key, e in pairs.items() if e)
 
     # -- structure queries ----------------------------------------------------
 
@@ -67,15 +59,10 @@ class MixedGraph:
         return v
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        return self._adj[self.check_vertex(v)]
-
-    @property
-    def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        """Sorted neighbour tuples indexed by vertex."""
-        return self._adj
+        return tuple(self.adjacency[self.check_vertex(v)])
 
     def degree(self, v: int) -> int:
-        return len(self.neighbors(v))
+        return len(self.adjacency[self.check_vertex(v)])
 
     def has_edge(self, u: int, v: int) -> bool:
         return self.hermitian_exponent(u, v) is not None
@@ -84,21 +71,14 @@ class MixedGraph:
         """Power of alpha at matrix position (u, v): 0 digon, +1 arc u->v,
         -1 arc v->u, None when the pair carries no edge."""
         self.check_vertex(u)
-        self.check_vertex(v)
-        if u == v:
-            return None
-        key = (u, v) if u < v else (v, u)
-        k = self._kind.get(key)
-        if k is None:
-            return None
-        return k if u < v else -k
+        return self.adjacency[u].get(self.check_vertex(v))
 
     def underlying_edges(self) -> tuple[tuple[int, int], ...]:
-        return tuple(sorted(self._kind))
+        return tuple((u, v) for u, row in enumerate(self.adjacency) for v in row if u < v)
 
     @property
     def edge_count(self) -> int:
-        return len(self._kind)
+        return len(self.digons) + len(self.arcs)
 
     def underlying(self) -> "MixedGraph":
         """Forget orientations: every arc becomes a digon."""
@@ -256,22 +236,23 @@ def unique_cycle(x: MixedGraph) -> Cycle:
         raise NotUnicyclic(
             f"connected unicyclic needs |E| = |V|, got {x.edge_count} edges on {x.n} vertices"
         )
+    adj = x.adjacency
     alive = [True] * x.n
-    deg = [x.degree(v) for v in range(x.n)]
+    deg = [len(row) for row in adj]
     queue = deque(v for v in range(x.n) if deg[v] == 1)
     while queue:
         v = queue.popleft()
         if not alive[v]:
             continue
         alive[v] = False
-        for w in x.neighbors(v):
+        for w in adj[v]:
             if alive[w]:
                 deg[w] -= 1
                 if deg[w] == 1:
                     queue.append(w)
     core = [v for v in range(x.n) if alive[v]]
     start = min(core)
-    core_nbrs = {v: [w for w in x.neighbors(v) if alive[w]] for v in core}
+    core_nbrs = {v: [w for w in adj[v] if alive[w]] for v in core}
     prev, cur = start, min(core_nbrs[start])
     seq = [start]
     while cur != start:

@@ -69,11 +69,11 @@ def _inverse_upm(x: MixedGraph, ctx: CyclotomicContext, m: Matching) -> ExactHer
         if todo:
             stack += [i, *todo]
             continue
-        e = x.hermitian_exponent(i, mate)
+        e = adj[i][mate]
         row = {mate: ctx.root_power(e)}
-        for u in adj[mate]:
+        for u, f in adj[mate].items():
             if u != i:
-                c = -ctx.root_power(e + x.hermitian_exponent(mate, u))
+                c = -ctx.root_power(e + f)
                 for j, v in rows[u].items():
                     row[j] = row[j] + c * v if j in row else c * v
         rows[i] = {j: v for j, v in row.items() if not v.is_zero()}

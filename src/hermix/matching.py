@@ -79,9 +79,9 @@ def unique_perfect_matching(x: MixedGraph) -> Matching | None:
     the peeled edges are that matching.
     """
     bipartition(x)
+    adj = x.adjacency
     alive = [True] * x.n
-    deg = [x.degree(v) for v in range(x.n)]
-    nbrs = [set(x.neighbors(v)) for v in range(x.n)]
+    deg = [len(row) for row in adj]
     queue = deque(v for v in range(x.n) if deg[v] == 1)
     edges = []
     remaining = x.n
@@ -89,11 +89,11 @@ def unique_perfect_matching(x: MixedGraph) -> Matching | None:
         v = queue.popleft()
         if not alive[v] or deg[v] != 1:
             continue
-        u = next(w for w in nbrs[v] if alive[w])
+        u = next(w for w in adj[v] if alive[w])
         edges.append((v, u) if v < u else (u, v))
         alive[v] = alive[u] = False
         remaining -= 2
-        for w in nbrs[u]:
+        for w in adj[u]:
             if alive[w]:
                 deg[w] -= 1
                 if deg[w] == 1:

@@ -96,11 +96,9 @@ class ExactHermitianMatrix:
 
 
 def h_alpha_matrix(x: MixedGraph, ctx: CyclotomicContext) -> ExactHermitianMatrix:
-    """Entry (u, v): 1 for a digon, alpha for arc u->v, conj(alpha) for arc v->u."""
-    rows = [
-        {v: ctx.root_power(x.hermitian_exponent(u, v)) for v in x.adjacency[u]}
-        for u in range(x.n)
-    ]
+    """Entry (u, v): 1 for a digon, alpha for arc u->v, conj(alpha) for arc v->u;
+    row u is the graph's read-only exponent row x.adjacency[u], each e read as alpha^e."""
+    rows = [{v: ctx.root_power(e) for v, e in row.items()} for row in x.adjacency]
     return ExactHermitianMatrix(ctx, rows)
 
 

@@ -17,6 +17,7 @@ import hermix
 import hermix.cli as cli
 import hermix.unicyclic as unicyclic
 from hermix import (
+    CyclotomicContext,
     CyclotomicNumber,
     GenerationFailed,
     InternalCheckFailed,
@@ -277,6 +278,23 @@ def test_check_reports_a_failing_check(monkeypatch):
     assert lines[5] == "inverse_vs_numeric: fail"
     assert sum(line.endswith(": pass") for line in lines) == 9
     assert lines[-1] == "result: FAILED (1 of 10)"
+
+
+def test_coaugmenting_counts_fails_on_a_wrong_path_list():
+    # the recurrence's counts are compared with the listed paths pair by pair:
+    # a path missing from one bag, or a pair with no path listed, is caught
+    doc = parse_graph((DATA / "c6_two_pendants.json").read_text())
+    n, ctx = doc.n, CyclotomicContext(doc.alpha_order)
+    for bag_size in (1, 2):
+        facts = cli.GraphFacts(doc.to_graph(), ctx)
+        assert cli.run_check("coaugmenting_counts", facts) == "pass"
+        pair, bag = next((p, b) for p, b in sorted(facts.paths.items()) if len(b) == bag_size)
+        facts.paths[pair] = bag[1:]
+        assert cli.run_check("coaugmenting_counts", facts) == "fail"
+    facts = cli.GraphFacts(doc.to_graph(), ctx)
+    spurious = next((i, j) for i in range(n) for j in range(n) if i != j and (i, j) not in facts.paths)
+    facts.paths[spurious] = [spurious]
+    assert cli.run_check("coaugmenting_counts", facts) == "fail"
 
 
 def test_check_skips_outside_class(tmp_path):

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hermix import (
     BadVertexId,
@@ -11,6 +13,7 @@ from hermix import (
     SameVertex,
     SelfLoop,
     enumerate_paths,
+    generate_instance,
     remove_vertices,
     unique_cycle,
 )
@@ -41,6 +44,23 @@ def test_vertex_and_edge_validation():
         MixedGraph(3, arcs=[(0, 1), (1, 0)])
 
 
+def test_constructor_reports_the_first_bad_edge():
+    # edges are checked in order, digons first; within an edge the ids come
+    # before the self-loop test, and a duplicate is named as its low-high pair
+    cases = [
+        (([("a", 1)], []), BadVertexId, "vertex 'a' outside 0..2"),
+        (([(1, 1.0)], []), BadVertexId, "vertex 1.0 outside 0..2"),
+        (([], [(None, 0)]), BadVertexId, "vertex None outside 0..2"),
+        (([(3, 3)], []), BadVertexId, "vertex 3 outside 0..2"),
+        (([(0, 1), (2, 2), (5, 1)], []), SelfLoop, "self-loop at 2"),
+        (([(2, 1), (0, 1), (1, 2), (9, 0)], []), DuplicateEdge, r"pair \(1, 2\) used more than once"),
+        (([(0, 1)], [(1, 0), (-1, 2)]), DuplicateEdge, r"pair \(0, 1\) used more than once"),
+    ]
+    for (digons, arcs), error, message in cases:
+        with pytest.raises(error, match=f"^{message}$"):
+            MixedGraph(3, digons, arcs)
+
+
 def test_hermitian_exponent_orientation():
     x = MixedGraph(3, digons=[(0, 1)], arcs=[(1, 2)])
     assert x.hermitian_exponent(0, 1) == 0
@@ -57,6 +77,61 @@ def test_neighbors_sorted_and_degree():
     assert x.neighbors(0) == (1, 2, 3)
     assert x.degree(0) == 3
     assert x.degree(1) == 1
+
+
+@st.composite
+def edge_lists(draw):
+    """A vertex count and digon and arc lists in any order, each pair used
+    once; a digon may be given high-low."""
+    n = draw(st.integers(0, 8))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    digons, arcs = [], []
+    for u, v in chosen:
+        kind = draw(st.sampled_from(("digon", "flipped digon", "arc", "reversed arc")))
+        if kind.endswith("digon"):
+            digons.append((v, u) if kind == "flipped digon" else (u, v))
+        else:
+            arcs.append((v, u) if kind == "reversed arc" else (u, v))
+    return n, digons, arcs
+
+
+def assert_rows_match_edge_lists(n, digons, arcs):
+    x = MixedGraph(n, digons, arcs)
+    want = {}
+    for u, v in digons:
+        want[u, v] = want[v, u] = 0
+    for u, v in arcs:
+        want[u, v], want[v, u] = 1, -1
+    for u in range(n):
+        for v in range(n):
+            assert x.hermitian_exponent(u, v) == want.get((u, v))
+    for u in range(n):
+        nbrs = sorted(v for w, v in want if w == u)
+        assert list(x.adjacency[u]) == nbrs
+        assert dict(x.adjacency[u]) == {v: want[u, v] for v in nbrs}
+        assert x.neighbors(u) == tuple(nbrs)
+        assert x.degree(u) == len(nbrs)
+        with pytest.raises(TypeError):
+            x.adjacency[u][u] = 0
+        for bad in (-1, n):
+            for pair in ((u, bad), (bad, u)):
+                with pytest.raises(BadVertexId):
+                    x.hermitian_exponent(*pair)
+    assert x.underlying_edges() == tuple(sorted((u, v) for u, v in want if u < v))
+    assert x.edge_count == len(digons) + len(arcs)
+
+
+@given(edge_lists())
+def test_exponent_rows_match_edge_lists(graph):
+    assert_rows_match_edge_lists(*graph)
+
+
+def test_exponent_rows_of_generated_documents():
+    for seed in range(1, 6):
+        for n, unicyclic in ((10, False), (24, True), (40, True)):
+            doc = generate_instance(seed, n, unicyclic)
+            assert_rows_match_edge_lists(doc.n, doc.digons, doc.arcs)
 
 
 def test_underlying_forgets_orientation():

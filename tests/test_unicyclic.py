@@ -7,6 +7,7 @@ from hermix import (
     DimensionTooLarge,
     Disconnected,
     ExactHermitianMatrix,
+    GenerationFailed,
     InternalCheckFailed,
     InvalidParameter,
     MixedGraph,
@@ -276,6 +277,27 @@ def test_two_peg_similar_when_pegs_adjacent():
     refused = classify_gamma_similarity(twisted)
     assert isinstance(refused, NotSimilar)
     assert refused.reason is Obstruction.TWO_PEGS
+
+
+def test_two_peg_similarity_needs_adjacent_attachments():
+    # the corpus and counts the README's "Classification semantics" states
+    similar, adjacent = [], []
+    for n in (6, 8, 10, 12, 16, 20, 32, 64):
+        for seed in range(1, 60):
+            try:
+                x = generate_instance(seed, n, True).to_graph()
+            except GenerationFailed:
+                continue
+            info = peg_info(x)
+            if len(info.pegs) != 2:
+                continue
+            cyc = info.cycle_vertices
+            p, q = (cyc.index(u if u in cyc else v) for u, v in info.pegs)
+            adjacent.append((p - q) % len(cyc) in (1, len(cyc) - 1))
+            similar.append(isinstance(classify_gamma_similarity(x), Similar))
+    assert all(a for a, s in zip(adjacent, similar) if s)
+    assert any(a and not s for a, s in zip(adjacent, similar))
+    assert (len(similar), sum(similar), sum(adjacent)) == (391, 73, 318)
 
 
 def test_similarity_certificate_is_verified(monkeypatch):
