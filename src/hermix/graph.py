@@ -22,6 +22,8 @@ class MixedGraph:
     ``adjacency[u]`` is the read-only row of vertex u: a mapping from each
     neighbour v, in increasing order, to the power of alpha at matrix position
     (u, v), which is 0 for a digon, +1 for an arc u->v and -1 for an arc v->u.
+    ``n``, ``digons``, ``arcs`` and ``adjacency`` are plain attributes, built
+    once by the constructor; callers must not reassign them.
     """
 
     __slots__ = ("n", "digons", "arcs", "adjacency")
@@ -33,9 +35,8 @@ class MixedGraph:
         pairs: dict[tuple[int, int], int] = {}  # low-high pair -> exponent at (low, high)
         for edges, e in ((digons, 0), (arcs, 1)):
             for u, v in edges:
-                if not (type(u) is int and type(v) is int and 0 <= u < n and 0 <= v < n):
-                    self.check_vertex(u)  # any other id: the full check, in order
-                    self.check_vertex(v)
+                self.check_vertex(u)
+                self.check_vertex(v)
                 if u == v:
                     raise SelfLoop(f"self-loop at {u}")
                 key = (u, v) if u < v else (v, u)

@@ -49,8 +49,6 @@ def test_constructor_reports_the_first_bad_edge():
     # before the self-loop test, and a duplicate is named as its low-high pair
     cases = [
         (([("a", 1)], []), BadVertexId, "vertex 'a' outside 0..2"),
-        (([(1, 1.0)], []), BadVertexId, "vertex 1.0 outside 0..2"),
-        (([], [(None, 0)]), BadVertexId, "vertex None outside 0..2"),
         (([(3, 3)], []), BadVertexId, "vertex 3 outside 0..2"),
         (([(0, 1), (2, 2), (5, 1)], []), SelfLoop, "self-loop at 2"),
         (([(2, 1), (0, 1), (1, 2), (9, 0)], []), DuplicateEdge, r"pair \(1, 2\) used more than once"),
