@@ -4,6 +4,7 @@ generator for bipartite unique-perfect-matching graphs."""
 from __future__ import annotations
 
 import json
+import operator
 import random
 from dataclasses import dataclass
 
@@ -32,19 +33,26 @@ class GraphDocument:
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        object.__setattr__(
-            self,
-            "digons",
-            tuple(sorted(tuple(sorted(map(int, e))) for e in self.digons)),
-        )
-        object.__setattr__(
-            self, "arcs", tuple(sorted((int(u), int(v)) for u, v in self.arcs))
-        )
+        digons = [tuple(sorted(_id_pair(e, "digons", k))) for k, e in enumerate(self.digons)]
+        arcs = [_id_pair(e, "arcs", k) for k, e in enumerate(self.arcs)]
+        object.__setattr__(self, "digons", tuple(sorted(digons)))
+        object.__setattr__(self, "arcs", tuple(sorted(arcs)))
         if self.labels is not None:
             object.__setattr__(self, "labels", tuple(str(s) for s in self.labels))
 
     def to_graph(self) -> MixedGraph:
         return MixedGraph(self.n, self.digons, self.arcs)
+
+
+def _id_pair(pair, name: str, k: int) -> tuple[int, int]:
+    # operator.index takes numpy integers and refuses 1.9; bool is an int subclass
+    try:
+        u, v = pair
+        if not isinstance(u, bool) and not isinstance(v, bool):
+            return operator.index(u), operator.index(v)
+    except (TypeError, ValueError):
+        pass
+    raise InvalidParameter(f"{name}[{k}] must be a pair of integers")
 
 
 def parse_graph(text: str) -> GraphDocument:

@@ -29,7 +29,7 @@ class MixedGraph:
     __slots__ = ("n", "digons", "arcs", "adjacency")
 
     def __init__(self, n: int, digons: Iterable = (), arcs: Iterable = ()):
-        if not isinstance(n, int) or n < 0:
+        if type(n) is not int or n < 0:  # type(): bool is an int subclass
             raise BadVertexId(f"vertex count must be a nonnegative integer, got {n!r}")
         self.n = n
         pairs: dict[tuple[int, int], int] = {}  # low-high pair -> exponent at (low, high)
@@ -55,7 +55,7 @@ class MixedGraph:
     # -- structure queries ----------------------------------------------------
 
     def check_vertex(self, v) -> int:
-        if not isinstance(v, int) or not 0 <= v < self.n:
+        if type(v) is not int or not 0 <= v < self.n:
             raise BadVertexId(f"vertex {v!r} outside 0..{self.n - 1}")
         return v
 
@@ -196,10 +196,6 @@ def balance(adj, roots, keep) -> tuple[list[int], tuple[int, int] | None]:
     return label, conflict
 
 
-def is_connected(x: MixedGraph) -> bool:
-    return x.n == 0 or all(balance(x.adjacency, (0,), ())[0])
-
-
 @dataclass(frozen=True)
 class Cycle:
     """A cycle given by its canonical vertex rotation.
@@ -231,33 +227,26 @@ class Cycle:
 
 def unique_cycle(x: MixedGraph) -> Cycle:
     """The single cycle of a connected unicyclic graph (|E| = |V|)."""
-    if x.n == 0 or not is_connected(x):
+    if x.n == 0 or not all(balance(x.adjacency, (0,), ())[0]):
         raise NotUnicyclic("underlying graph is not connected")
     if x.edge_count != x.n:
         raise NotUnicyclic(
             f"connected unicyclic needs |E| = |V|, got {x.edge_count} edges on {x.n} vertices"
         )
+    # peel pendant vertices until only the cycle is left
     adj = x.adjacency
-    alive = [True] * x.n
+    peeled = bytearray(x.n)
     deg = [len(row) for row in adj]
     queue = deque(v for v in range(x.n) if deg[v] == 1)
     while queue:
         v = queue.popleft()
-        if not alive[v]:
-            continue
-        alive[v] = False
+        peeled[v] = 1
         for w in adj[v]:
-            if alive[w]:
+            if not peeled[w]:
                 deg[w] -= 1
                 if deg[w] == 1:
                     queue.append(w)
-    core = [v for v in range(x.n) if alive[v]]
-    start = min(core)
-    core_nbrs = {v: [w for w in adj[v] if alive[w]] for v in core}
-    prev, cur = start, min(core_nbrs[start])
-    seq = [start]
-    while cur != start:
-        seq.append(cur)
-        a, b = core_nbrs[cur]
-        prev, cur = cur, b if a == prev else a
-    return Cycle(tuple(seq))
+    # the closed walks through the least cycle vertex; second < last is canonical
+    start = peeled.index(0)
+    walks = simple_paths(adj, start, start, peeled)
+    return Cycle(next(c[:-1] for c in walks if len(c) > 3 and c[1] < c[-2]))

@@ -55,7 +55,7 @@ def _peg_info(x: MixedGraph, m: Matching) -> PegInfo:
     # m must be the certified unique perfect matching of x
     cycle = unique_cycle(x)
     cyc_set = set(cycle.vertices)
-    cyc_edges = set(cycle.edges)
+    walk = cycle.closed_walk()
     pegs = tuple(
         sorted(
             e
@@ -63,11 +63,10 @@ def _peg_info(x: MixedGraph, m: Matching) -> PegInfo:
             if (e[0] in cyc_set) != (e[1] in cyc_set)
         )
     )
-    matched = sum(1 for e in cyc_edges if e in m)
     return PegInfo(
         pegs=pegs,
         cycle_vertices=cycle.vertices,
-        unmatched_cycle_edge_count=len(cyc_edges) - matched,
+        unmatched_cycle_edge_count=sum(1 for e in zip(walk, walk[1:]) if e not in m),
         half_length=len(cycle.vertices) // 2,
     )
 
@@ -163,22 +162,14 @@ def two_peg_entry(
     cyc_set = set(cyc)
     hit = [k for k, v in enumerate(path) if v in cyc_set]
     assert hit == list(range(hit[0], hit[-1] + 1)), "cycle portion must be contiguous"
-    a, b = hit[0], hit[-1]
-    portion = path[a : b + 1]
-    v_in, v_out = path[a], path[b]
 
-    # complementary route around the cycle, from v_in to v_out
-    pos_in, pos_out = cyc.index(v_in), cyc.index(v_out)
-    L = len(cyc)
-    forward = tuple(cyc[(pos_in + t) % L] for t in range((pos_out - pos_in) % L + 1))
-    backward = tuple(cyc[(pos_in - t) % L] for t in range((pos_in - pos_out) % L + 1))
-    complement = backward if portion == forward else forward
-    assert portion in (forward, backward), "path portion must follow the cycle"
-
+    # conj(h(F)) * h(F^c) is the closed walk round the cycle against F
+    walk = cyc + cyc[:1]
+    h_cycle = walk_value(x, ctx, walk)
+    if path[hit[0] : hit[0] + 2] in zip(walk, walk[1:]):  # F runs along the walk
+        h_cycle = h_cycle.conj()
+    bracket = ctx.one() + (h_cycle if info.half_length % 2 else -h_cycle)
     # h(i..v) * h(F) * h(v'..j) is the value of the whole path
-    h_cycle = walk_value(x, ctx, portion).conj() * walk_value(x, ctx, complement)
-    half = info.half_length
-    bracket = ctx.one() + (h_cycle if half % 2 else -h_cycle)
     value = walk_value(x, ctx, path) * bracket
     return value if _coaug_sign(path) == 1 else -value
 

@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import io
 import json
@@ -9,6 +10,7 @@ import tempfile
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -20,7 +22,9 @@ from hermix import (
     CyclotomicContext,
     CyclotomicNumber,
     GenerationFailed,
+    GraphDocument,
     InternalCheckFailed,
+    InvalidParameter,
     ParseError,
     co_augmenting_paths,
     ensure_class_h,
@@ -342,6 +346,17 @@ def test_gen_is_deterministic(tmp_path):
     ensure_class_h(doc.to_graph())
 
 
+def test_generated_corpus_digest():
+    # every benchmark document comes from generate_instance; a change to the
+    # generator's output changes this digest
+    digest = hashlib.sha256()
+    for seed in range(1, 21):
+        for n in (8, 40, 160):
+            for unicyclic in (False, True):
+                digest.update(render_document(generate_instance(seed, n, unicyclic)).encode())
+    assert digest.hexdigest() == "ce9544d38d31e0131f22bd90e3716258d0df8ae21826efeacb717a666a610a6a"
+
+
 def test_gen_unicyclic_flag(tmp_path):
     target = tmp_path / "u.json"
     code, _, _ = run_cli(
@@ -385,6 +400,26 @@ def test_parse_error_details():
     ):
         with pytest.raises(ParseError, match=field):
             parse_graph(doc)
+
+
+def test_graph_document_rejects_non_integer_ids():
+    # int() would have turned 1.9 into 1 and True into 1 without a word
+    for digons, arcs, where in (
+        (((0, 1.9),), (), r"digons\[0\]"),
+        (((0, 1), (True, 2)), (), r"digons\[1\]"),
+        ((), ((0, 1), (2, 0), (1, "2")), r"arcs\[2\]"),
+        ((), ((0, 1, 2),), r"arcs\[0\]"),
+        ((), (5,), r"arcs\[0\]"),
+    ):
+        with pytest.raises(InvalidParameter, match=f"^{where} must be a pair of integers$"):
+            GraphDocument(n=3, digons=digons, arcs=arcs, alpha_order=3)
+    # numpy integers are integers: they come out as int, digons low-high
+    doc = GraphDocument(
+        n=3, digons=((np.int64(2), np.int32(1)),), arcs=((np.int8(0), 1),), alpha_order=3
+    )
+    assert doc.digons == ((1, 2),) and doc.arcs == ((0, 1),)
+    assert all(type(w) is int for pair in doc.digons + doc.arcs for w in pair)
+    assert replace(doc, alpha_order=4).alpha_order == 4
 
 
 def test_vertex_out_of_range_exit_2(tmp_path):

@@ -1,5 +1,6 @@
 import random
 
+import networkx as nx
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -12,6 +13,8 @@ from hermix import (
     NotUnicyclic,
     SameVertex,
     SelfLoop,
+    co_augmenting_paths,
+    ensure_class_h,
     enumerate_paths,
     generate_instance,
     remove_vertices,
@@ -26,6 +29,7 @@ from conftest import (
     pentagon_tail,
     random_mixed_graph,
     simple_paths_oracle,
+    to_networkx,
 )
 
 
@@ -57,6 +61,23 @@ def test_constructor_reports_the_first_bad_edge():
     for (digons, arcs), error, message in cases:
         with pytest.raises(error, match=f"^{message}$"):
             MixedGraph(3, digons, arcs)
+
+
+def test_booleans_are_not_vertex_ids():
+    # bool is an int subclass; True must not pass for vertex 1
+    with pytest.raises(BadVertexId, match=r"^vertex count must be a nonnegative integer, got True$"):
+        MixedGraph(True)
+    for digons, arcs, bad in (([], [(True, 2)], True), ([(0, False)], [], False)):
+        with pytest.raises(BadVertexId, match=rf"^vertex {bad} outside 0\.\.2$"):
+            MixedGraph(3, digons, arcs)
+    x = p4()
+    with pytest.raises(BadVertexId, match=r"^vertex True outside 0\.\.3$"):
+        x.hermitian_exponent(True, 0)
+    with pytest.raises(BadVertexId, match=r"^vertex False outside 0\.\.3$"):
+        x.hermitian_exponent(1, False)
+    with pytest.raises(BadVertexId, match=r"^vertex True outside 0\.\.3$"):
+        co_augmenting_paths(x, ensure_class_h(x), True)
+    assert co_augmenting_paths(x, ensure_class_h(x), 1) == [(1, 0)]
 
 
 def test_hermitian_exponent_orientation():
@@ -213,3 +234,22 @@ def test_unique_cycle_rejections():
 def test_unique_cycle_whole_graph_is_cycle():
     x = MixedGraph(5, digons=[(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
     assert unique_cycle(x).vertices == (0, 1, 2, 3, 4)
+
+
+def test_unique_cycle_against_networkx():
+    # generated documents, then copies under a random relabelling, so that the
+    # least cycle vertex and the order of its cycle neighbours vary
+    rng = random.Random(15)
+    for seed in range(1, 11):
+        for n in (6, 10, 16, 40, 80, 160):
+            doc = generate_instance(seed, n, True)
+            perm = list(range(n))
+            rng.shuffle(perm)
+            relabelled = MixedGraph(
+                n,
+                [(perm[u], perm[v]) for u, v in doc.digons],
+                [(perm[u], perm[v]) for u, v in doc.arcs],
+            )
+            for x in (doc.to_graph(), relabelled):
+                found = nx.find_cycle(to_networkx(x))
+                assert unique_cycle(x) == canonical_cycle(u for u, _ in found)
