@@ -65,7 +65,7 @@ class CyclotomicContext:
                  "_roots", "_zero", "_kinds")
 
     def __init__(self, order: int):
-        if not isinstance(order, int) or order < 1:
+        if type(order) is not int or order < 1:  # type(): bool is an int subclass
             raise ValueError("order must be a positive integer")
         self.order = order
         self.phi = cyclotomic_polynomial(order)

@@ -22,7 +22,10 @@ MAX_ALPHA_ORDER = 1000
 class GraphDocument:
     """Serializable description of a mixed graph plus its root order.
 
-    Edge lists are normalized (digons low-high, both lists sorted) so that
+    The constructor is the one check of a document's fields, in the order n,
+    alpha_order, digons, arcs, labels; a bad field raises InvalidParameter.
+    Ids in range, self-loops and repeated pairs are left to MixedGraph. Edge
+    lists are normalized (digons low-high, both lists sorted) so that
     structurally equal documents compare equal and render identically.
     """
 
@@ -33,26 +36,50 @@ class GraphDocument:
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        digons = [tuple(sorted(_id_pair(e, "digons", k))) for k, e in enumerate(self.digons)]
-        arcs = [_id_pair(e, "arcs", k) for k, e in enumerate(self.arcs)]
-        object.__setattr__(self, "digons", tuple(sorted(digons)))
-        object.__setattr__(self, "arcs", tuple(sorted(arcs)))
-        if self.labels is not None:
-            object.__setattr__(self, "labels", tuple(str(s) for s in self.labels))
+        n = _index(self.n)
+        if n is None or n < 0:
+            raise InvalidParameter("field 'n' must be a nonnegative integer")
+        order = _index(self.alpha_order)
+        if order is None or not 1 <= order <= MAX_ALPHA_ORDER:
+            raise InvalidParameter(
+                f"field 'alpha_order' must be an integer from 1 to {MAX_ALPHA_ORDER}"
+            )
+        for name in ("digons", "arcs"):
+            pairs = getattr(self, name)
+            if not isinstance(pairs, (list, tuple)):
+                raise InvalidParameter(f"field '{name}' must be a list of vertex pairs")
+            pairs = sorted(_id_pair(e, name, k) for k, e in enumerate(pairs))
+            object.__setattr__(self, name, tuple(pairs))
+        labels = self.labels
+        if labels is not None:
+            if not isinstance(labels, (list, tuple)) or not all(isinstance(s, str) for s in labels):
+                raise InvalidParameter("field 'labels' must be a list of strings")
+            if len(labels) != n:
+                raise InvalidParameter(f"expected {n} labels, got {len(labels)}")
+            object.__setattr__(self, "labels", tuple(labels))
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "alpha_order", order)
 
     def to_graph(self) -> MixedGraph:
         return MixedGraph(self.n, self.digons, self.arcs)
 
 
-def _id_pair(pair, name: str, k: int) -> tuple[int, int]:
+def _index(value) -> int | None:
     # operator.index takes numpy integers and refuses 1.9; bool is an int subclass
     try:
-        u, v = pair
-        if not isinstance(u, bool) and not isinstance(v, bool):
-            return operator.index(u), operator.index(v)
+        return None if isinstance(value, bool) else operator.index(value)
+    except TypeError:
+        return None
+
+
+def _id_pair(pair, name: str, k: int) -> tuple[int, int]:
+    try:
+        u, v = map(_index, pair)
     except (TypeError, ValueError):
-        pass
-    raise InvalidParameter(f"{name}[{k}] must be a pair of integers")
+        u = v = None
+    if u is None or v is None:
+        raise InvalidParameter(f"{name}[{k}] must be a pair of integers")
+    return (v, u) if name == "digons" and v < u else (u, v)
 
 
 def parse_graph(text: str) -> GraphDocument:
@@ -71,23 +98,10 @@ def parse_graph(text: str) -> GraphDocument:
     missing = sorted(set(_REQUIRED) - set(raw))
     if missing:
         raise ParseError(f"missing fields: {', '.join(missing)}")
-    # type(), not isinstance(): JSON true/false parse as bool, an int subclass
-    n = raw["n"]
-    if type(n) is not int or n < 0:
-        raise ParseError("field 'n' must be a nonnegative integer")
-    order = raw["alpha_order"]
-    if type(order) is not int or not 1 <= order <= MAX_ALPHA_ORDER:
-        raise ParseError(f"field 'alpha_order' must be an integer from 1 to {MAX_ALPHA_ORDER}")
-    digons = _pair_list(raw["digons"], "digons")
-    arcs = _pair_list(raw["arcs"], "arcs")
-    labels = raw.get("labels")
-    if labels is not None:
-        if not isinstance(labels, list) or not all(isinstance(s, str) for s in labels):
-            raise ParseError("field 'labels' must be a list of strings")
-        if len(labels) != n:
-            raise ParseError(f"expected {n} labels, got {len(labels)}")
-        labels = tuple(labels)
-    return GraphDocument(n=n, digons=digons, arcs=arcs, alpha_order=order, labels=labels)
+    try:
+        return GraphDocument(**raw)
+    except InvalidParameter as exc:
+        raise ParseError(str(exc)) from None
 
 
 def _unique_fields(pairs) -> dict:
@@ -100,35 +114,13 @@ def _unique_fields(pairs) -> dict:
     return obj
 
 
-def _pair_list(raw, name: str) -> tuple[tuple[int, int], ...]:
-    if not isinstance(raw, list):
-        raise ParseError(f"field '{name}' must be a list of vertex pairs")
-    out = []
-    for k, item in enumerate(raw):
-        if (
-            not isinstance(item, list)
-            or len(item) != 2
-            or not all(type(w) is int for w in item)
-        ):
-            raise ParseError(f"{name}[{k}] must be a pair of integers")
-        out.append((item[0], item[1]))
-    return tuple(out)
-
-
-def _render_pairs(pairs) -> str:
-    if not pairs:
-        return "[]"
-    inner = ", ".join(f"[{u}, {v}]" for u, v in pairs)
-    return f"[{inner}]"
-
-
 def render_document(doc: GraphDocument) -> str:
     """Canonical text form; parse(render(doc)) == doc."""
     lines = ["{", f'  "n": {doc.n},']
     if doc.labels is not None:
-        lines.append(f'  "labels": {json.dumps(list(doc.labels))},')
-    lines.append(f'  "digons": {_render_pairs(doc.digons)},')
-    lines.append(f'  "arcs": {_render_pairs(doc.arcs)},')
+        lines.append(f'  "labels": {json.dumps(doc.labels)},')
+    lines.append(f'  "digons": {json.dumps(doc.digons)},')
+    lines.append(f'  "arcs": {json.dumps(doc.arcs)},')
     lines.append(f'  "alpha_order": {doc.alpha_order}')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from .cyclotomic import CyclotomicContext, CyclotomicNumber
 from .errors import HasArcs, InvalidParameter, NotPerfect, SameVertex, SingularMatrix
-from .graph import MixedGraph, enumerate_paths, remove_vertices
+from .graph import MixedGraph, enumerate_paths
 from .matching import Matching, ensure_class_h
 from .spectral import ExactHermitianMatrix, det_via_elementary, walk_value
 
@@ -32,11 +32,11 @@ def inverse_entry_general(
 
 
 def _adjugate_entry(x: MixedGraph, ctx: CyclotomicContext, i: int, j: int) -> CyclotomicNumber:
-    # det(H) * (H^-1)_ij: over simple i..j paths, the path value times the
-    # determinant of what the path leaves behind, negated on odd edge counts
+    # det(H) * (H^-1)_ij: over simple i..j paths P, h(P) times det(H - V(P)), which
+    # takes P's vertices as covered, not as a new graph; negated on odd edge counts
     acc = ctx.zero()
     for path in enumerate_paths(x, i, j):
-        inner = det_via_elementary(remove_vertices(x, path).graph, ctx)
+        inner = det_via_elementary(x, ctx, path)
         if inner.is_zero():
             continue
         term = walk_value(x, ctx, path) * inner

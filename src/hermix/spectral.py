@@ -118,7 +118,7 @@ def walk_value(x: MixedGraph, ctx: CyclotomicContext, walk) -> CyclotomicNumber:
 
 @dataclass(frozen=True)
 class ElementarySubgraph:
-    """Components are single edges or cycles; here always spanning its host."""
+    """Components are single edges or cycles; here always spanning its host minus drop."""
 
     edges: tuple[tuple[int, int], ...]
     cycles: tuple[Cycle, ...]
@@ -142,16 +142,19 @@ class ElementarySubgraph:
         return len(self.cycles)
 
 
-def enumerate_spanning_elementary(x: MixedGraph) -> list[ElementarySubgraph]:
-    """Every spanning subgraph whose components are single edges or cycles.
+def enumerate_spanning_elementary(x: MixedGraph, drop: tuple = ()) -> list[ElementarySubgraph]:
+    """Every subgraph spanning x minus ``drop`` whose components are edges or cycles.
 
     Depth-first over an explicit stack, one component per level: each level
     covers the lowest uncovered vertex v either by one incident edge or by one
     cycle through v inside the uncovered region, and tries those choices in
-    turn. Each cycle is listed once, in its canonical direction.
+    turn. Each cycle is listed once, in its canonical direction. ``drop`` starts
+    covered: these are remove_vertices(x, drop)'s subgraphs, in order, in x's ids.
     """
     adj = x.adjacency
     covered = bytearray(x.n)
+    for v in drop:
+        covered[x.check_vertex(v)] = 1
     out: list[ElementarySubgraph] = []
     chosen: list[tuple[int, ...]] = []  # per level: the edge or cycle tried now
     stack = []
@@ -186,15 +189,16 @@ def enumerate_spanning_elementary(x: MixedGraph) -> list[ElementarySubgraph]:
             return out
 
 
-def det_via_elementary(x: MixedGraph, ctx: CyclotomicContext) -> CyclotomicNumber:
-    """Exact determinant of h_alpha_matrix(x) from spanning elementary subgraphs.
+def det_via_elementary(x: MixedGraph, ctx: CyclotomicContext, drop: tuple = ()) -> CyclotomicNumber:
+    """Exact determinant of h_alpha_matrix(x) without the rows and columns in
+    ``drop``, from spanning elementary subgraphs.
 
     Each subgraph contributes (-1)^rank times the product over its cycle
     components of 2*Re(h_alpha(C)); the factor 2 accounts for the two
     traversal directions of each cycle.
     """
     total = ctx.zero()
-    for sub in enumerate_spanning_elementary(x):
+    for sub in enumerate_spanning_elementary(x, drop):
         term = ctx.from_rational((-1) ** sub.rank)
         for cyc in sub.cycles:
             v = walk_value(x, ctx, cyc.closed_walk())

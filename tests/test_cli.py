@@ -244,10 +244,11 @@ def test_check_computes_shared_facts_once(monkeypatch, tmp_path):
     full_dets, inverses, order3 = [], [], []
     doc = parse_graph((DATA / "c6_two_pendants.json").read_text())
 
-    def det_counted(g, ctx):
-        if g.n == doc.n:
+    def det_counted(g, ctx, drop=()):
+        # a minor of the adjugate covers its path: only an empty drop is a full det
+        if not drop:
             full_dets.append(g)
-        return det_via_elementary(g, ctx)
+        return det_via_elementary(g, ctx, drop)
 
     def inv_counted(self):
         inverses.append(self)
@@ -420,6 +421,71 @@ def test_graph_document_rejects_non_integer_ids():
     assert doc.digons == ((1, 2),) and doc.arcs == ((0, 1),)
     assert all(type(w) is int for pair in doc.digons + doc.arcs for w in pair)
     assert replace(doc, alpha_order=4).alpha_order == 4
+
+
+def test_graph_document_checks_every_field():
+    # GraphDocument holds the rules; parse_graph reports the same text as ParseError
+    base = {"n": 3, "digons": [], "arcs": [], "alpha_order": 3}
+    bad_n = "field 'n' must be a nonnegative integer"
+    bad_order = "field 'alpha_order' must be an integer from 1 to 1000"
+    for field, value, message in (
+        ("n", True, bad_n),
+        ("n", -1, bad_n),
+        ("n", 2.0, bad_n),
+        ("alpha_order", True, bad_order),
+        ("alpha_order", 3.0, bad_order),
+        ("alpha_order", 0, bad_order),
+        ("alpha_order", 1001, bad_order),
+        ("digons", "01", "field 'digons' must be a list of vertex pairs"),
+        ("arcs", None, "field 'arcs' must be a list of vertex pairs"),
+        ("labels", ["a", "b"], "expected 3 labels, got 2"),
+        ("labels", ["a", 1, "c"], "field 'labels' must be a list of strings"),
+        ("labels", "abc", "field 'labels' must be a list of strings"),
+    ):
+        fields = {**base, field: value}
+        with pytest.raises(InvalidParameter) as built:
+            GraphDocument(**fields)
+        with pytest.raises(ParseError) as parsed:
+            parse_graph(json.dumps(fields))
+        assert str(built.value) == str(parsed.value) == message
+    # the first bad field in the order n, alpha_order, digons, arcs, labels is named
+    with pytest.raises(InvalidParameter, match="'alpha_order'"):
+        GraphDocument(n=2, digons=None, arcs=None, alpha_order=0, labels=[1])
+    # numpy integers are integers and come out as int
+    doc = GraphDocument(
+        n=np.int64(2), digons=[(0, 1)], arcs=[], alpha_order=np.int16(5), labels=["a", "b"]
+    )
+    assert (type(doc.n), type(doc.alpha_order), doc.labels) == (int, int, ("a", "b"))
+
+
+_id_values = st.integers(-2, 8) | st.integers(0, 8).map(np.int64)
+_id_pairs = st.lists(
+    st.tuples(_id_values, _id_values) | st.lists(_id_values, min_size=2, max_size=2), max_size=5
+)
+_strays = st.one_of(
+    st.booleans(), st.floats(), st.text(max_size=2), st.none(), _id_values, st.lists(_id_values)
+)
+
+
+@given(st.data())
+def test_every_graph_document_round_trips(data):
+    # parse(render(doc)) == doc for every document the constructor accepts: a
+    # well-formed document, and the same with each field in turn set to a stray value
+    n = data.draw(st.integers(0, 6))
+    fields = {
+        "n": data.draw(st.sampled_from([n, np.int64(n)])),
+        "digons": data.draw(_id_pairs | _id_pairs.map(tuple)),
+        "arcs": data.draw(_id_pairs),
+        "alpha_order": data.draw(st.integers(1, 1000) | st.integers(1, 6).map(np.int64)),
+        "labels": data.draw(st.none() | st.lists(st.text(), min_size=n, max_size=n)),
+    }
+    stray = data.draw(_strays)
+    for field in (None, *fields):
+        try:
+            doc = GraphDocument(**(fields if field is None else {**fields, field: stray}))
+        except InvalidParameter:
+            continue
+        assert parse_graph(render_document(doc)) == doc
 
 
 def test_vertex_out_of_range_exit_2(tmp_path):

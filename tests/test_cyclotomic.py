@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -41,6 +42,13 @@ def test_cyclotomic_polynomial_small_orders():
 def test_context_degree_is_euler_phi():
     for order, phi in [(1, 1), (2, 1), (3, 2), (4, 2), (5, 4), (10, 4), (12, 4)]:
         assert CyclotomicContext(order).degree == phi
+
+
+def test_context_order_must_be_a_positive_int():
+    # bool is an int subclass: CyclotomicContext(True) would be a field of order True
+    for order in (0, -3, 2.0, "3", None, True, False, np.int64(3)):
+        with pytest.raises(ValueError, match="^order must be a positive integer$"):
+            CyclotomicContext(order)
 
 
 def test_root_power_matches_unit_circle():

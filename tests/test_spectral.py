@@ -7,7 +7,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hermix import (
+    BadVertexId,
     ContextMismatch,
+    Cycle,
     ElementarySubgraph,
     CyclotomicContext,
     CyclotomicNumber,
@@ -18,10 +20,12 @@ from hermix import (
     NumericallySingular,
     det_leibniz,
     det_via_elementary,
+    enumerate_paths,
     enumerate_spanning_elementary,
     h_alpha_matrix,
     inverse_bipartite_upm,
     numeric_inverse,
+    remove_vertices,
     walk_value,
 )
 
@@ -259,6 +263,51 @@ def test_determinant_triple_agreement_sample():
             assert exact == det_leibniz(h_alpha_matrix(x, ctx))
             numeric = np.linalg.det(h_alpha_matrix(x, ctx).to_complex())
             assert abs(exact.to_complex() - numeric) < 1e-9
+
+
+def test_drop_covers_the_minor_the_induced_subgraph_gives():
+    # det(H - V(P)) for every i..j path P three ways: covering P in x, the graph
+    # remove_vertices builds, and Leibniz on the principal submatrix
+    rng = random.Random(24)
+    paths = 0
+    for _ in range(30):
+        x = random_mixed_graph(rng, rng.randrange(2, 10))
+        i, j = rng.sample(range(x.n), 2)
+        for order in (3, 4):
+            ctx = CyclotomicContext(order)
+            h = h_alpha_matrix(x, ctx)
+            for path in enumerate_paths(x, i, j):
+                sub, kept = remove_vertices(x, path)
+                new_id = {old: k for k, old in enumerate(kept)}
+                minor = ExactHermitianMatrix(
+                    ctx, [{new_id[c]: a for c, a in h.rows[r].items() if c in new_id} for r in kept]
+                )
+                got = det_via_elementary(x, ctx, path)
+                assert got == det_via_elementary(sub, ctx) == det_leibniz(minor)
+                # the same subgraphs in the same order, in the ids of x
+                mapped = [
+                    ElementarySubgraph(
+                        tuple((kept[u], kept[v]) for u, v in s.edges),
+                        tuple(Cycle(tuple(kept[v] for v in c.vertices)) for c in s.cycles),
+                    )
+                    for s in enumerate_spanning_elementary(sub)
+                ]
+                covered = enumerate_spanning_elementary(x, path)
+                assert covered == mapped
+                assert library_elementary_canonical(covered) == library_elementary_canonical(mapped)
+                paths += 1
+    assert paths > 100
+
+
+def test_drop_ids_are_checked():
+    x, ctx = p4(), CyclotomicContext(3)
+    assert det_via_elementary(x, ctx, (0, 1)) == -1  # the digon 2-3 is left
+    assert det_via_elementary(x, ctx, (1, 2)).is_zero()  # 0 and 3 are isolated
+    for drop in ((4,), (-1,), (0, True), (1.0,)):
+        with pytest.raises(BadVertexId):
+            enumerate_spanning_elementary(x, drop)
+        with pytest.raises(BadVertexId):
+            det_via_elementary(x, ctx, drop)
 
 
 def test_determinant_ignores_arc_direction_reversal():
