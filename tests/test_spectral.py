@@ -284,7 +284,8 @@ def test_drop_covers_the_minor_the_induced_subgraph_gives():
                 )
                 got = det_via_elementary(x, ctx, path)
                 assert got == det_via_elementary(sub, ctx) == det_leibniz(minor)
-                # the same subgraphs in the same order, in the ids of x
+                # the same subgraphs in the same order (so the same canonical sets),
+                # in the ids of x
                 mapped = [
                     ElementarySubgraph(
                         tuple((kept[u], kept[v]) for u, v in s.edges),
@@ -294,7 +295,6 @@ def test_drop_covers_the_minor_the_induced_subgraph_gives():
                 ]
                 covered = enumerate_spanning_elementary(x, path)
                 assert covered == mapped
-                assert library_elementary_canonical(covered) == library_elementary_canonical(mapped)
                 paths += 1
     assert paths > 100
 
