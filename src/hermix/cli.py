@@ -30,6 +30,7 @@ from .inverse import _adjugate_entry, _inverse_upm, orient_nonmatching
 from .matching import _coaug_sign, ensure_class_h, paths_by_pair
 from .spectral import (
     LEIBNIZ_CAP,
+    RESIDUAL_TOLERANCE,
     ExactHermitianMatrix,
     det_leibniz,
     det_via_elementary,
@@ -45,8 +46,6 @@ from .unicyclic import (
     classify_gamma_similarity,
     exhaustive_diag_similarity,
 )
-
-NUMERIC_AGREEMENT = 1e-9
 
 
 def format_complex(z: complex) -> str:
@@ -159,10 +158,10 @@ def det_elementary_vs_leibniz(f: GraphFacts) -> bool:
     return f.det == det_leibniz(f.h)
 
 
-@_check(lambda f: True)
+@_check(lambda f: np.isfinite(f.det.to_complex()))
 def det_elementary_vs_numeric(f: GraphFacts) -> bool:
-    numeric = complex(np.linalg.det(f.h.to_complex())) if f.x.n else complex(1)
-    return abs(f.det.to_complex() - numeric) <= NUMERIC_AGREEMENT
+    numeric = complex(np.linalg.det(f.h.to_complex()))
+    return abs(f.det.to_complex() - numeric) <= RESIDUAL_TOLERANCE * max(1.0, abs(numeric))
 
 
 @_check(lambda f: f.inverse is not None)
@@ -182,8 +181,9 @@ def inverse_zero_diagonal(f: GraphFacts) -> bool:
 
 @_check(lambda f: f.inverse is not None)
 def inverse_vs_numeric(f: GraphFacts) -> bool:
-    diff = np.abs(f.inverse.to_complex() - numeric_inverse(f.h)).max() if f.x.n else 0.0
-    return diff <= NUMERIC_AGREEMENT
+    numeric = numeric_inverse(f.h)
+    diff = np.abs(f.inverse.to_complex() - numeric).max(initial=0.0)
+    return diff <= RESIDUAL_TOLERANCE * max(1.0, np.abs(numeric).max(initial=0.0))
 
 
 @_check(lambda f: f.inverse is not None)

@@ -265,10 +265,16 @@ class CyclotomicNumber:
         # int / int rounds correctly, so this equals float(Fraction(c, den))
         basis = self.ctx._complex_basis
         den = self.den
-        return sum(
-            (c / den * basis[i] for i, c in enumerate(self.nums) if c),
-            complex(0),
-        )
+        try:
+            return sum((c / den * basis[i] for i, c in enumerate(self.nums) if c), complex(0))
+        except OverflowError:  # beyond the float range, so read the value over 2^k
+            k = max(abs(c).bit_length() for c in self.nums) - den.bit_length()
+            z = sum((c / (den << k) * basis[i] for i, c in enumerate(self.nums) if c), complex(0))
+        # each part is +-inf, or 0 where exactly zero: inf times a zero part of the
+        # basis would be nan, and the rounding noise of a real value an inf
+        conj = self.conj()
+        real = 0.0 if conj == -self else math.copysign(math.inf, z.real)
+        return complex(real, 0.0 if conj == self else math.copysign(math.inf, z.imag))
 
     def __eq__(self, other):
         o = self._lift(other)

@@ -6,6 +6,7 @@ from __future__ import annotations
 import json
 import operator
 import random
+import sys
 from dataclasses import dataclass
 
 from .errors import GenerationFailed, InvalidParameter, ParseError
@@ -88,6 +89,8 @@ def parse_graph(text: str) -> GraphDocument:
         raw = json.loads(text, object_pairs_hook=_unique_fields)
     except json.JSONDecodeError as exc:
         raise ParseError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except ValueError:  # int() refuses a literal over the interpreter's digit limit
+        raise ParseError(f"an integer has over {sys.get_int_max_str_digits()} digits") from None
     except RecursionError:
         raise ParseError("document is nested too deeply") from None
     if not isinstance(raw, dict):

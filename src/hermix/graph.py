@@ -214,12 +214,8 @@ class Cycle:
 
     @property
     def edges(self) -> tuple[tuple[int, int], ...]:
-        vs = self.vertices
-        pairs = []
-        for k in range(len(vs)):
-            u, v = vs[k], vs[(k + 1) % len(vs)]
-            pairs.append((u, v) if u < v else (v, u))
-        return tuple(sorted(pairs))
+        walk = self.closed_walk()
+        return tuple(sorted((min(e), max(e)) for e in zip(walk, walk[1:])))
 
     def closed_walk(self) -> tuple[int, ...]:
         return self.vertices + (self.vertices[0],)
@@ -249,4 +245,4 @@ def unique_cycle(x: MixedGraph) -> Cycle:
     # the closed walks through the least cycle vertex; second < last is canonical
     start = peeled.index(0)
     walks = simple_paths(adj, start, start, peeled)
-    return Cycle(next(c[:-1] for c in walks if len(c) > 3 and c[1] < c[-2]))
+    return Cycle(next(c[:-1] for c in walks if c[1] < c[-2]))

@@ -146,9 +146,10 @@ def enumerate_spanning_elementary(x: MixedGraph, drop: tuple = ()) -> list[Eleme
     """Every subgraph spanning x minus ``drop`` whose components are edges or cycles.
 
     Depth-first over an explicit stack, one component per level: each level
-    covers the lowest uncovered vertex v either by one incident edge or by one
-    cycle through v inside the uncovered region, and tries those choices in
-    turn. Each cycle is listed once, in its canonical direction. ``drop`` starts
+    covers the lowest uncovered vertex v by one closed walk through v inside
+    the uncovered region, an edge (v, u, v) or a longer cycle, and tries those
+    walks in turn. Each cycle is listed once, in its canonical direction. The
+    list order is the search order, not part of the contract. ``drop`` starts
     covered: these are remove_vertices(x, drop)'s subgraphs, in order, in x's ids.
     """
     adj = x.adjacency
@@ -167,11 +168,11 @@ def enumerate_spanning_elementary(x: MixedGraph, drop: tuple = ()) -> list[Eleme
             cycles = tuple(Cycle(c) for c in chosen if len(c) > 2)
             out.append(ElementarySubgraph(edges, cycles))
         else:
-            parts = [(v, u) if v < u else (u, v) for u in adj[v] if not covered[u]]
-            # cycles through v are the closed walks v..v over three or more
-            # vertices; second < last keeps one traversal direction per cycle
+            # the parts covering v are its closed walks v..v: (v, u, v) is the
+            # edge (v, u), a longer walk a cycle; second <= last keeps one
+            # traversal direction of each
             walks = simple_paths(adj, v, v, covered)
-            parts += [c[:-1] for c in walks if len(c) > 3 and c[1] < c[-2]]
+            parts = [c[:-1] for c in walks if c[1] <= c[-2]]
             stack.append((v, iter(parts)))
             chosen.append(())  # the new level has covered nothing yet
         while stack:

@@ -52,17 +52,13 @@ def peg_info(x: MixedGraph) -> PegInfo:
 
 
 def _peg_info(x: MixedGraph, m: Matching) -> PegInfo:
-    # m must be the certified unique perfect matching of x
+    """Pegs are the matching edges (v, m.partner[v]) of cycle vertices v whose
+    partner is off the cycle. m must be the certified unique perfect matching of x."""
     cycle = unique_cycle(x)
     cyc_set = set(cycle.vertices)
     walk = cycle.closed_walk()
-    pegs = tuple(
-        sorted(
-            e
-            for e in m.edges
-            if (e[0] in cyc_set) != (e[1] in cyc_set)
-        )
-    )
+    mates = ((v, m.partner[v]) for v in cycle.vertices)
+    pegs = tuple(sorted((min(e), max(e)) for e in mates if e[1] not in cyc_set))
     return PegInfo(
         pegs=pegs,
         cycle_vertices=cycle.vertices,
@@ -185,7 +181,7 @@ def _signed_entries(mat: ExactHermitianMatrix) -> list[tuple] | None:
     """
     out = []
     for i, row in enumerate(mat.rows):
-        for j, a in sorted(row.items()):
+        for j, a in row.items():
             if j < i:
                 continue
             kind = classify_entry(a)
@@ -281,12 +277,9 @@ def _classify(x: MixedGraph, info: PegInfo, hinv: ExactHermitianMatrix, basepoin
     if entries is not None:
         if any(i == j for i, j, _ in entries):
             raise InternalCheckFailed("inverse has a nonzero diagonal entry")
-        adj: list[list[int]] = [[] for _ in range(x.n)]
-        for i, j, _ in entries:
-            adj[i].append(j)
-            adj[j].append(i)
+        # the stored off-diagonal entries are the edges of the sign graph
         keep = {(i, j) for i, j, kind in entries if kind.sign == 1}
-        signs, conflict = balance(adj, (basepoint, *range(x.n)), keep)
+        signs, conflict = balance(hinv.rows, (basepoint, *range(x.n)), keep)
         if conflict:
             signs = None
     many_pegs = len(info.pegs) > 2

@@ -3,7 +3,7 @@
 The oracles re-derive answers by exhaustive enumeration with none of the
 library's pruning, so agreement is meaningful: perfect matchings by direct
 recursion, simple paths via networkx, elementary subgraphs by scanning every
-edge subset. The matching, alternating-cycle, co-augmenting and
+edge subset. The matching, alternating-cycle, co-augmenting, peg and
 canonical-cycle helpers below exist only for the tests; the package has none.
 The cyclotomic references redo field arithmetic on Fraction coordinates and
 sort entries by scanning every signed root power.
@@ -31,6 +31,7 @@ from hermix import (
     SignedPower,
     bipartition,
     generate_instance,
+    unique_cycle,
 )
 from hermix.errors import GenerationFailed
 
@@ -217,6 +218,13 @@ def is_co_augmenting(path: tuple[int, ...], m: Matching) -> bool:
     if len(steps) % 2 == 0:
         return False
     return all(((e in m) == (k % 2 == 0)) for k, e in enumerate(steps))
+
+
+def pegs_oracle(x: MixedGraph, m: Matching) -> tuple[tuple[int, int], ...]:
+    """Pegs by a scan over every matching edge: those with exactly one end on
+    the cycle, sorted."""
+    on_cycle = set(unique_cycle(x).vertices)
+    return tuple(sorted(e for e in m.edges if (e[0] in on_cycle) != (e[1] in on_cycle)))
 
 
 def canonical_cycle(vertices) -> Cycle:

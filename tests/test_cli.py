@@ -33,9 +33,11 @@ from hermix import (
     render_document,
     unique_cycle,
 )
-from hermix.inverse import _inverse_upm
+from hermix.inverse import _inverse_upm, orient_nonmatching
 from hermix.spectral import LEIBNIZ_CAP, det_via_elementary
 from hermix.unicyclic import EXHAUSTIVE_CAP
+
+from conftest import triangular_graph
 
 DATA = Path(__file__).parent / "data"
 PYPROJECT = Path(__file__).parents[1] / "pyproject.toml"
@@ -401,6 +403,73 @@ def test_parse_error_details():
     ):
         with pytest.raises(ParseError, match=field):
             parse_graph(doc)
+
+
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="int() has no digit limit"
+)
+@pytest.mark.parametrize("command", ["det", "inverse", "classify", "check"])
+def test_integer_over_the_digit_limit_exit_2(tmp_path, command):
+    # json.loads raises a plain ValueError on such a literal, not JSONDecodeError;
+    # json.dumps refuses it too, so the documents are written as text
+    limit = sys.get_int_max_str_digits()
+    digits = "9" * max(5000, limit + 1)
+    doc = tmp_path / "long.json"
+    for text in (
+        f'{{"n": {digits}, "digons": [], "arcs": [], "alpha_order": 3}}',
+        f'{{"n": 2, "digons": [[0, {digits}]], "arcs": [], "alpha_order": 3}}',
+    ):
+        doc.write_text(text)
+        want = f"error: ParseError: an integer has over {limit} digits\n"
+        assert run_cli([command, str(doc)]) == (2, "", want)
+
+
+def disjoint_triangles(tmp_path, k: int) -> str:
+    # k disjoint all-digon triangles: each is one elementary subgraph worth 2,
+    # so det = 2^k exactly
+    digons = [[3 * t + a, 3 * t + b] for t in range(k) for a, b in ((0, 1), (1, 2), (0, 2))]
+    doc = tmp_path / f"triangles{k}.json"
+    doc.write_text(json.dumps({"n": 3 * k, "digons": digons, "arcs": [], "alpha_order": 3}))
+    return str(doc)
+
+
+def test_check_compares_the_determinant_relatively(tmp_path, monkeypatch):
+    # numpy's det of 2^30 is off by about 1e-5 (1e-14 relative); float64's
+    # spacing there is 2.4e-7, so only a bound of 1e-9 * max(1, |numeric|) holds
+    doc = disjoint_triangles(tmp_path, 30)
+    code, out, err = run_cli(["check", doc])
+    assert (code, err) == (0, "")
+    assert "det_elementary_vs_numeric: pass" in out.splitlines()
+    assert out.splitlines()[-1] == "result: ok (10 checks)"
+    monkeypatch.setattr(np.linalg, "det", lambda a: 2.0**30 * (1 + 2e-9))
+    code, out, _ = run_cli(["check", doc])
+    assert code == 3
+    assert "det_elementary_vs_numeric: fail" in out.splitlines()
+
+
+def test_check_compares_the_inverse_relatively(monkeypatch):
+    # oriented, the order-2 inverse counts co-augmenting paths: entries up to 8
+    x = triangular_graph(5, 1).underlying()
+    facts = cli.GraphFacts(orient_nonmatching(x, ensure_class_h(x)), CyclotomicContext(2))
+    exact = facts.inverse.to_complex()
+    assert np.abs(exact).max() == 8
+    for scale, status in ((1 + 5e-10, "pass"), (1 + 2e-9, "fail")):
+        monkeypatch.setattr(cli, "numeric_inverse", lambda h: exact * scale)
+        assert cli.run_check("inverse_vs_numeric", facts) == status
+
+
+def test_determinant_beyond_the_float_range(tmp_path, monkeypatch):
+    doc = disjoint_triangles(tmp_path, 1100)
+    assert run_cli(["det", doc]) == (0, f"det = {2**1100} (inf)\n", "")
+
+    def no_numpy(a):
+        raise AssertionError("numpy det called on a determinant beyond the float range")
+
+    monkeypatch.setattr(np.linalg, "det", no_numpy)
+    code, out, err = run_cli(["check", doc])
+    assert (code, err) == (0, "")
+    assert "det_elementary_vs_numeric: skip" in out.splitlines()
+    assert out.splitlines()[-1] == "result: ok (10 checks)"
 
 
 def test_graph_document_rejects_non_integer_ids():

@@ -139,6 +139,24 @@ def test_complex_embedding_is_multiplicative(a):
     assert abs(a.conj().to_complex() - z.conjugate()) < 1e-9
 
 
+def test_complex_embedding_beyond_the_float_range():
+    # each part reads as +-inf, or as 0 where it is exactly zero: no nan from inf
+    # times a zero part of the basis, and no inf from a real value's rounding noise
+    inf = math.inf
+    for order, real, imag in (
+        (1, inf, 0.0), (2, -inf, 0.0), (3, -inf, inf), (4, 0.0, inf), (6, inf, inf), (12, inf, inf)
+    ):
+        ctx = CyclotomicContext(order)
+        big = ctx.from_rational(2**1100)
+        a = ctx.root_power(1)
+        assert big.to_complex() == complex(inf, 0.0)
+        assert (-big / 3).to_complex() == complex(-inf, 0.0)
+        assert (big * (a + a.conj())).to_complex() == complex(real, 0.0)  # 2 Re(a) big
+        assert (big * (a - a.conj())).to_complex() == complex(0.0, imag)  # 2i Im(a) big
+    assert (CyclotomicContext(3).root_power(1) * 2**1100).to_complex() == complex(-inf, inf)
+    assert CyclotomicContext(3).from_rational(2**1023).to_complex() == complex(2.0**1023)
+
+
 def test_power_conjugation_rule():
     for order in (1, 2, 3, 4, 5, 6, 7, 10):
         ctx = CyclotomicContext(order)

@@ -45,6 +45,7 @@ from conftest import (
     cycle_with_pendants,
     h_corpus,
     p4,
+    pegs_oracle,
     pentagon_tail,
     two_peg_instance,
 )
@@ -77,6 +78,20 @@ def test_peg_info_desk_graphs():
 
     with pytest.raises(NotInClassH):
         peg_info(MixedGraph(4, digons=[(0, 1), (1, 2), (2, 3), (0, 3)]))  # two matchings
+
+
+def test_peg_info_matches_the_matching_edge_scan():
+    # pegs read at the cycle's own vertices, against a scan of every matching edge
+    graphs = [c6_two_pendants(), c4_four_pendants(), c6_four_pendants(), c8_two_adjacent_pendants()]
+    for n in (6, 8, 10, 12, 16, 20, 32, 64):
+        for seed in range(1, 60):
+            try:
+                graphs.append(generate_instance(seed, n, True).to_graph())
+            except GenerationFailed:
+                continue
+    for x in graphs:
+        assert peg_info(x).pegs == pegs_oracle(x, ensure_class_h(x))
+    assert len(graphs) > 400
 
 
 def test_f_walk_signs_flip_on_unmatched_edges():
@@ -334,6 +349,24 @@ def test_classify_reads_only_nonzero_entries(monkeypatch):
     monkeypatch.setattr(unicyclic, "classify_entry", counted)
     classify_gamma_similarity(x)
     assert 0 < len(calls) <= nonzeros // 2
+
+
+def test_classification_ignores_the_inverse_storage_order():
+    # the sign constraints and the balance search read the inverse's rows in
+    # storage order; stored in reverse, every verdict and certificate is the same
+    ctx = CyclotomicContext(3)
+    kinds = set()
+    for doc in h_corpus(40, sizes=(6, 8, 10, 12, 16, 20), unicyclic=True, seed0=1):
+        x = doc.to_graph()
+        info = unicyclic._peg_info(x, ensure_class_h(x))
+        hinv = inverse_bipartite_upm(x, ctx)
+        flipped = ExactHermitianMatrix(ctx, [dict(reversed(row.items())) for row in hinv.rows])
+        assert [list(row) for row in flipped.rows] != [list(row) for row in hinv.rows]
+        for basepoint in (0, x.n - 1):
+            verdict = unicyclic._classify(x, info, hinv, basepoint)
+            assert unicyclic._classify(x, info, flipped, basepoint) == verdict
+            kinds.add(type(verdict))
+    assert kinds == {Similar, NotSimilar}
 
 
 def test_classification_rejects_wrong_shapes():
