@@ -15,6 +15,7 @@ constructor, ``from_rational`` and the arithmetic operators accept it.
 from __future__ import annotations
 
 import cmath
+import decimal
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -296,10 +297,10 @@ class CyclotomicNumber:
                 continue
             mag = abs(m)
             if k == 0:
-                body = str(mag)
+                body = _decimal(mag)
             else:
                 var = "a" if k == 1 else f"a^{k}"
-                body = var if mag == 1 else f"{mag}{var}"
+                body = var if mag == 1 else f"{_decimal(mag)}{var}"
             terms.append((m < 0, body))
         if not terms:
             return "0"
@@ -310,8 +311,16 @@ class CyclotomicNumber:
         if self.den != 1:
             if len(terms) > 1:
                 text = f"({text})"
-            text = f"{text}/{self.den}"
+            text = f"{text}/{_decimal(self.den)}"
         return text
+
+
+def _decimal(m: int) -> str:
+    """The decimal digits of ``m`` >= 0, also past int()'s digit limit."""
+    try:
+        return str(m)
+    except ValueError:  # over sys.get_int_max_str_digits() digits
+        return str(decimal.Decimal(m))  # exact, and free of that limit
 
 
 def _raw(ctx: CyclotomicContext, nums: tuple[int, ...], den: int) -> CyclotomicNumber:

@@ -4,6 +4,7 @@ two-peg inverse entries, and +-1 diagonal similarity to an adjacency matrix."""
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass
 
 from .cyclotomic import (
@@ -208,13 +209,11 @@ def exhaustive_diag_similarity(hinv: ExactHermitianMatrix) -> DiagonalSigns | No
     if entries is None:
         return None
     constraints = [(i, j, kind.sign) for i, j, kind in entries if i != j]
-    for bits in range(1 << max(dim - 1, 0)):
-        signs = [1] * dim
-        for p in range(1, dim):
-            if (bits >> (p - 1)) & 1:
-                signs[p] = -1
+    # the sign of vertex 1 varies fastest, as the low bit of a counter would
+    for rest in itertools.product((1, -1), repeat=max(dim - 1, 0)):
+        signs = (1, *reversed(rest))[:dim]
         if all(signs[i] * signs[j] == want for i, j, want in constraints):
-            return DiagonalSigns(tuple(signs), 0)
+            return DiagonalSigns(signs, 0)
     return None
 
 
@@ -257,11 +256,9 @@ def classify_gamma_similarity(x: MixedGraph, basepoint: int = 0):
     is usually decisive, but not always. A two-peg graph whose peg attachment
     vertices are adjacent on the cycle leaves the short route without interior
     matched edges, dropping one of the conflicting constraints, and its
-    inverse can be genuinely Similar. On generate_instance(seed, n, True),
-    n in {6, 8, 10, 12, 16, 20, 32, 64} and seeds 1-59, 73 of the 391 two-peg
-    graphs (19 %) are Similar, all with adjacent attachments; 318 of the 391
-    have adjacent attachments, so adjacency is necessary there but not
-    sufficient.
+    inverse can be genuinely Similar. On a generated corpus adjacency is
+    necessary but not sufficient: README "Classification semantics" gives the
+    counts, and test_two_peg_similarity_needs_adjacent_attachments pins them.
     """
     x.check_vertex(basepoint)
     m = ensure_class_h(x)

@@ -6,18 +6,25 @@ recursion, simple paths via networkx, elementary subgraphs by scanning every
 edge subset. The matching, alternating-cycle, co-augmenting, peg and
 canonical-cycle helpers below exist only for the tests; the package has none.
 The cyclotomic references redo field arithmetic on Fraction coordinates and
-sort entries by scanning every signed root power.
+sort entries by scanning every signed root power. The CLI table at the end
+states, once, every command line whose whole outcome the suite pins.
 """
 
 from __future__ import annotations
 
+import decimal
+import json
 import random
+import sys
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import networkx as nx
 from hypothesis import settings
 
+import hermix.cli as cli
 from hermix import (
     OTHER,
     ZERO,
@@ -495,3 +502,113 @@ def classify_entry_scan(x: CyclotomicNumber):
         if x == -ctx.root_power(k):
             return SignedPower(-1, k)
     return OTHER
+
+
+# -- the CLI table ------------------------------------------------------------
+# Criterion 10 runs every case through cli.main, and
+# test_installed_console_script through the `hermix` executable on PATH.
+
+DATA = Path(__file__).parent / "data"
+GOLDEN = Path(__file__).parent / "golden"
+DESK_NAMES = ("k2_digon", "k2_arc", "p4", "c6_two_pendants", "c4_four_pendants")
+
+
+def transcript(code: int, out: str, err: str) -> str:
+    """One call's exit code, stdout and stderr, as the goldens record them."""
+    return f"exit: {code}\n--- stdout ---\n{out}--- stderr ---\n{err}"
+
+
+@dataclass(frozen=True)
+class CliCase:
+    """A `hermix` command line and the transcript it must give. With ``tail``
+    only the last line of stdout is compared; ``wrote`` is a file the call
+    writes and the text it must hold."""
+
+    name: str
+    argv: tuple[str, ...]
+    expected: str
+    tail: bool = False
+    wrote: tuple[Path, str] | None = None
+
+    def holds(self, code: int, out: str, err: str) -> bool:
+        if self.tail:
+            out = out.splitlines()[-1] + "\n" if out else out
+        if transcript(code, out, err) != self.expected:
+            return False
+        return self.wrote is None or self.wrote[0].read_text() == self.wrote[1]
+
+
+def disjoint_triangles(tmp: Path, k: int) -> str:
+    """k disjoint all-digon triangles: each is one elementary subgraph worth 2,
+    so det = 2^k exactly."""
+    digons = [[3 * t + a, 3 * t + b] for t in range(k) for a, b in ((0, 1), (1, 2), (0, 2))]
+    doc = tmp / f"triangles{k}.json"
+    doc.write_text(json.dumps({"n": 3 * k, "digons": digons, "arcs": [], "alpha_order": 3}))
+    return str(doc)
+
+
+def cli_cases(tmp: Path) -> list[CliCase]:
+    """The table, with its generated documents and outputs under ``tmp``."""
+    commands = [(c, (c,), DESK_NAMES) for c in ("det", "inverse", "classify", "check")]
+    commands.append(
+        ("inverse_paths", ("inverse", "--paths"), ("c6_two_pendants", "c4_four_pendants"))
+    )
+    cases = [
+        CliCase(
+            f"{prefix}_{name}",
+            (*argv, str(DATA / f"{name}.json")),
+            (GOLDEN / f"{prefix}_{name}.txt").read_text(),
+        )
+        for prefix, argv, names in commands
+        for name in names
+    ]
+    gen = tmp / "g.json"
+    cases.append(
+        CliCase(
+            "gen_seed7_n10_unicyclic",
+            ("gen", "--seed", "7", "--n", "10", "--unicyclic", "-o", str(gen)),
+            transcript(0, f"wrote {gen}\n", ""),
+            wrote=(gen, (GOLDEN / "gen_seed7_n10_unicyclic.json").read_text()),
+        )
+    )
+    bad = tmp / "bool_n.json"
+    bad.write_text('{"n": true, "digons": [], "arcs": [], "alpha_order": 3}')
+    cases.append(
+        CliCase(
+            "bool_n",
+            ("det", str(bad)),
+            transcript(2, "", "error: ParseError: field 'n' must be a nonnegative integer\n"),
+        )
+    )
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:  # an integer literal over int()'s digit limit is bad input
+        long_n = tmp / "long_n.json"
+        digits = "9" * max(5000, limit + 1)
+        long_n.write_text(f'{{"n": {digits}, "digons": [], "arcs": [], "alpha_order": 3}}')
+        cases.append(
+            CliCase(
+                "long_n",
+                ("det", str(long_n)),
+                transcript(2, "", f"error: ParseError: an integer has over {limit} digits\n"),
+            )
+        )
+    # det = 2^30, which numpy misses by about 1e-5
+    cases.append(
+        CliCase(
+            "check_triangles30",
+            ("check", disjoint_triangles(tmp, 30)),
+            transcript(0, f"result: ok ({len(cli.CHECKS)} checks)\n", ""),
+            tail=True,
+        )
+    )
+    # det = 2^14300 has 4,305 digits, over int()'s default limit of 4,300;
+    # decimal gives them without an int -> str conversion
+    power = format(decimal.Context(prec=4400).power(2, 14300), "f")
+    cases.append(
+        CliCase(
+            "det_triangles14300",
+            ("det", disjoint_triangles(tmp, 14300)),
+            transcript(0, f"det = {power} (inf)\n", ""),
+        )
+    )
+    return cases

@@ -9,7 +9,6 @@ for numeric agreement.
 import io
 import random
 import time
-from pathlib import Path
 
 import hermix.cli as cli
 from hermix import (
@@ -35,6 +34,7 @@ from hermix.errors import NumericallySingular
 from conftest import (
     c6_two_pendants,
     c8_two_adjacent_pendants,
+    cli_cases,
     coaug_paths_oracle,
     h_corpus,
     pentagon_tail,
@@ -43,10 +43,7 @@ from conftest import (
     cycle_with_pendants,
 )
 
-DATA = Path(__file__).parent / "data"
-GOLDEN = Path(__file__).parent / "golden"
 NUMERIC_TOL = 1e-9
-DESK_NAMES = ("k2_digon", "k2_arc", "p4", "c6_two_pendants", "c4_four_pendants")
 
 
 def report(number: int, label: str, ok: bool) -> None:
@@ -267,22 +264,16 @@ def test_criterion_09_similarity_decision_vs_exhaustive():
     report(9, f"classification matches exhaustive search on 100 instances ({elapsed:.1f}s)", ok)
 
 
-def test_criterion_10_cli_golden_stability():
-    # (golden prefix, argv before the document, desk graphs)
-    cases = [(command, [command], DESK_NAMES) for command in ("det", "inverse", "classify", "check")]
-    cases.append(("inverse_paths", ["inverse", "--paths"], ("c6_two_pendants", "c4_four_pendants")))
-    ok = True
-    for prefix, argv, names in cases:
-        for name in names:
-            runs = []
-            for _ in range(2):
-                out, err = io.StringIO(), io.StringIO()
-                code = cli.main([*argv, str(DATA / f"{name}.json")], out=out, err=err)
-                runs.append(
-                    f"exit: {code}\n--- stdout ---\n{out.getvalue()}"
-                    f"--- stderr ---\n{err.getvalue()}"
-                )
-            ok = ok and runs[0] == runs[1]
-            golden = (GOLDEN / f"{prefix}_{name}.txt").read_text()
-            ok = ok and runs[0] == golden
-    report(10, "det/inverse/classify/check and inverse --paths byte-identical to goldens", ok)
+def test_criterion_10_cli_golden_stability(tmp_path):
+    failed = []
+    cases = cli_cases(tmp_path)
+    for case in cases:
+        runs = []
+        for _ in range(2):
+            out, err = io.StringIO(), io.StringIO()
+            code = cli.main(list(case.argv), out=out, err=err)
+            runs.append((code, out.getvalue(), err.getvalue()))
+        if runs[0] != runs[1] or not case.holds(*runs[0]):
+            failed.append(case.name)
+    label = f"{len(cases)} CLI table cases, each run twice, byte-identical to their goldens"
+    report(10, label + (f"; failed: {', '.join(failed)}" if failed else ""), not failed)

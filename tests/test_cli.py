@@ -37,9 +37,8 @@ from hermix.inverse import _inverse_upm, orient_nonmatching
 from hermix.spectral import LEIBNIZ_CAP, det_via_elementary
 from hermix.unicyclic import EXHAUSTIVE_CAP
 
-from conftest import triangular_graph
+from conftest import DATA, cli_cases, disjoint_triangles, triangular_graph
 
-DATA = Path(__file__).parent / "data"
 PYPROJECT = Path(__file__).parents[1] / "pyproject.toml"
 
 
@@ -424,15 +423,6 @@ def test_integer_over_the_digit_limit_exit_2(tmp_path, command):
         assert run_cli([command, str(doc)]) == (2, "", want)
 
 
-def disjoint_triangles(tmp_path, k: int) -> str:
-    # k disjoint all-digon triangles: each is one elementary subgraph worth 2,
-    # so det = 2^k exactly
-    digons = [[3 * t + a, 3 * t + b] for t in range(k) for a, b in ((0, 1), (1, 2), (0, 2))]
-    doc = tmp_path / f"triangles{k}.json"
-    doc.write_text(json.dumps({"n": 3 * k, "digons": digons, "arcs": [], "alpha_order": 3}))
-    return str(doc)
-
-
 def test_check_compares_the_determinant_relatively(tmp_path, monkeypatch):
     # numpy's det of 2^30 is off by about 1e-5 (1e-14 relative); float64's
     # spacing there is 2.4e-7, so only a bound of 1e-9 * max(1, |numeric|) holds
@@ -619,14 +609,16 @@ def test_console_script_wiring():
 
 
 @pytest.mark.skipif(shutil.which("hermix") is None, reason="no hermix executable on PATH")
-def test_installed_console_script():
-    result = subprocess.run(
-        ["hermix", "det", str(DATA / "k2_arc.json")],
-        capture_output=True,
-        text=True,
-    )
-    assert result.returncode == 0
-    assert result.stdout == "det = -1 (-1)\n"
+def test_installed_console_script(tmp_path):
+    # the CLI table through the installed script; without PYTHONPATH, which
+    # would make the script import this checkout instead of the installed package
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    failed = []
+    for case in cli_cases(tmp_path):
+        result = subprocess.run(["hermix", *case.argv], capture_output=True, text=True, env=env)
+        if not case.holds(result.returncode, result.stdout, result.stderr):
+            failed.append(case.name)
+    assert failed == []
 
 
 def test_cli_module_runs_as_script():

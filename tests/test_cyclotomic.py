@@ -1,5 +1,7 @@
+import decimal
 import math
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -319,3 +321,22 @@ def test_classify_entry_matches_scan_on_every_signed_power():
 @given(st.one_of(signed_power_sums(), every_order.flatmap(lambda n: field_elements(order=n))))
 def test_classify_entry_matches_scan(x):
     assert classify_entry(x) == classify_entry_scan(x)
+
+
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="int() has no digit limit"
+)
+def test_render_past_the_integer_digit_limit():
+    # 2^14300 has 4,305 digits and 3^9100 has 4,342, both over the default limit of
+    # 4,300; decimal gives the expected digits without an int -> str conversion
+    big = decimal.Context(prec=5000)
+    two, three = (format(big.power(b, e), "f") for b, e in ((2, 14300), (3, 9100)))
+    five_two = format(big.multiply(5, big.power(2, 14300)), "f")
+    ctx = CyclotomicContext(3)
+    x = CyclotomicNumber(ctx, [Fraction(-(2**14300), 3**9100), Fraction(5 * 2**14300, 3**9100)])
+    assert x.to_polynomial_string() == f"(-{two} + {five_two}a)/{three}"
+    assert ctx.from_rational(2**14300).to_polynomial_string() == two
+    # under the limit the digits are str()'s
+    assert CyclotomicNumber(ctx, [Fraction(-7, 10**4000), 0]).to_polynomial_string() == (
+        "-7/1" + "0" * 4000
+    )

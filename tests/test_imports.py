@@ -1,5 +1,6 @@
 import ast
 from pathlib import Path
+from types import ModuleType
 
 import pytest
 
@@ -54,3 +55,23 @@ def test_exact_rationals_live_in_cyclotomic_only():
     package = sorted(Path(hermix.__file__).parent.glob("*.py"))
     importers = [p.name for p in package if imports_module(p.read_text(encoding="utf-8"), "fractions")]
     assert importers == ["cyclotomic.py"]
+
+
+def test_public_names_are_the_import_block():
+    names = hermix.__all__
+    assert names == sorted(names)
+    assert all(hasattr(hermix, name) for name in names)
+    assert [n for n in names if n.startswith("_")] == []
+    assert [n for n in names if isinstance(getattr(hermix, n), ModuleType)] == []
+    # the names the package's own `from .module import ...` lines bind, read from source
+    tree = ast.parse(Path(hermix.__file__).read_text(encoding="utf-8"))
+    imported = {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+    }
+    assert set(names) == imported
+    star = {}
+    exec("from hermix import *", star)
+    assert set(star) - {"__builtins__"} == set(names)

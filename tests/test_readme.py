@@ -8,9 +8,10 @@ from pathlib import Path
 import hermix.cli as cli
 from hermix import generate_instance, render_document
 
+from conftest import GOLDEN
+
 ROOT = Path(__file__).parents[1]
 README = (ROOT / "README.md").read_text()
-GOLDEN = Path(__file__).parent / "golden"
 
 
 def fenced_blocks(language=""):
