@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import sys
 from functools import cache
-from itertools import permutations
 from typing import Callable
 
 import numpy as np
@@ -25,8 +24,8 @@ from .errors import (
     NotUnicyclic,
     ParseError,
 )
-from .graph import MixedGraph
-from .inverse import _adjugate_entry, _inverse_upm, orient_nonmatching
+from .graph import MixedGraph, simple_paths
+from .inverse import _adjugate_row, _inverse_upm, orient_nonmatching
 from .matching import _coaug_sign, ensure_class_h, paths_by_pair
 from .spectral import (
     LEIBNIZ_CAP,
@@ -188,8 +187,13 @@ def inverse_vs_numeric(f: GraphFacts) -> bool:
 
 @_check(lambda f: f.inverse is not None)
 def inverse_vs_general_formula(f: GraphFacts) -> bool:
-    pairs = permutations(range(f.x.n), 2)
-    return all(_adjugate_entry(f.x, f.ctx, i, j) == f.det * f.inverse.entry(i, j) for i, j in pairs)
+    # one path search per source; each minor once, shared by all sources
+    n, zero, minors = f.x.n, f.ctx.zero(), {}
+    for i in range(n):
+        sums = _adjugate_row(f.x, f.ctx, simple_paths(f.x.adjacency, i, None, bytearray(n)), minors)
+        if any(sums.get(j, zero) != f.det * f.inverse.entry(i, j) for j in range(n) if j != i):
+            return False
+    return True
 
 
 @_check(lambda f: f.inverse is not None)

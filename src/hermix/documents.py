@@ -17,6 +17,7 @@ _REQUIRED = ("n", "digons", "arcs", "alpha_order")
 _OPTIONAL = ("labels",)
 # CyclotomicContext tabulates an order x phi(order) table of powers
 MAX_ALPHA_ORDER = 1000
+MAX_VERTICES = 1_000_000  # MixedGraph allocates a row per vertex before reading edges
 
 
 @dataclass(frozen=True)
@@ -40,6 +41,8 @@ class GraphDocument:
         n = _index(self.n)
         if n is None or n < 0:
             raise InvalidParameter("field 'n' must be a nonnegative integer")
+        if n > MAX_VERTICES:
+            raise InvalidParameter(f"field 'n' must be at most {MAX_VERTICES}")
         order = _index(self.alpha_order)
         if order is None or not 1 <= order <= MAX_ALPHA_ORDER:
             raise InvalidParameter(

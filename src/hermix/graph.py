@@ -140,7 +140,8 @@ def enumerate_paths(x: MixedGraph, i: int, j: int) -> list[tuple[int, ...]]:
 
 def simple_paths(adj, start, target, blocked) -> list[tuple[int, ...]]:
     """Every path start..target with no repeated inner vertex and none blocked,
-    in lexicographic order; with target == start, the closed walks through start.
+    in lexicographic order; with target == start, the closed walks through start;
+    with target None, every path from start, each listed as its last vertex is entered.
 
     ``blocked[v]`` is nonzero for a vertex the walk may not enter, and must be
     zero at start. Depth-first over an explicit stack of neighbour iterators;
@@ -156,6 +157,8 @@ def simple_paths(adj, start, target, blocked) -> list[tuple[int, ...]]:
             if w == target:
                 out.append((*path, w))
             elif not blocked[w]:
+                if target is None:
+                    out.append((*path, w))
                 blocked[w] = 1
                 path.append(w)
                 stack.append(iter(adj[w]))

@@ -2,7 +2,8 @@
 
 Two routes live here. ``inverse_entry_general`` works on any invertible mixed
 graph (off-diagonal entries only) by summing, over all simple i..j paths, the
-path value times the determinant of what the path leaves behind.
+path value times the minor the path's vertex set leaves behind; a caller that
+sums a whole row, or many rows, shares one table of those minors.
 ``inverse_bipartite_upm`` covers bipartite graphs with a unique perfect
 matching, where entry (i, j) is a signed sum over co-augmenting i..j paths;
 one recurrence builds it, listing no path, in O(n * |E|) field operations.
@@ -28,19 +29,21 @@ def inverse_entry_general(
     det = det_via_elementary(x, ctx)
     if det.is_zero():
         raise SingularMatrix("determinant is exactly zero")
-    return _adjugate_entry(x, ctx, i, j) * det.inv()
+    return _adjugate_row(x, ctx, enumerate_paths(x, i, j), {}).get(j, ctx.zero()) * det.inv()
 
 
-def _adjugate_entry(x: MixedGraph, ctx: CyclotomicContext, i: int, j: int) -> CyclotomicNumber:
-    # det(H) * (H^-1)_ij: over simple i..j paths P, h(P) times det(H - V(P)), which
-    # takes P's vertices as covered, not as a new graph; negated on odd edge counts
-    acc = ctx.zero()
-    for path in enumerate_paths(x, i, j):
-        inner = det_via_elementary(x, ctx, path)
-        if inner.is_zero():
-            continue
-        term = walk_value(x, ctx, path) * inner
-        acc = acc + (-term if len(path) % 2 == 0 else term)
+def _adjugate_row(x: MixedGraph, ctx: CyclotomicContext, paths, minors: dict) -> dict:
+    # det(H) * (H^-1)_ij per last vertex j of the i..j paths P: sum h(P) * det(H - V(P)),
+    # negated on odd edge counts; ``minors`` keeps each minor by V(P), all it depends on
+    acc = {}
+    for path in paths:
+        key = frozenset(path)
+        if key not in minors:
+            minors[key] = det_via_elementary(x, ctx, path)
+        if not minors[key].is_zero():
+            j, term = path[-1], walk_value(x, ctx, path) * minors[key]
+            term = -term if len(path) % 2 == 0 else term
+            acc[j] = acc[j] + term if j in acc else term
     return acc
 
 

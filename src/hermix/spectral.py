@@ -145,49 +145,76 @@ class ElementarySubgraph:
 def enumerate_spanning_elementary(x: MixedGraph, drop: tuple = ()) -> list[ElementarySubgraph]:
     """Every subgraph spanning x minus ``drop`` whose components are edges or cycles.
 
-    Depth-first over an explicit stack, one component per level: each level
-    covers the lowest uncovered vertex v by one closed walk through v inside
-    the uncovered region, an edge (v, u, v) or a longer cycle, and tries those
-    walks in turn. Each cycle is listed once, in its canonical direction. The
-    list order is the search order, not part of the contract. ``drop`` starts
-    covered: these are remove_vertices(x, drop)'s subgraphs, in order, in x's ids.
-    """
-    adj = x.adjacency
-    covered = bytearray(x.n)
-    for v in drop:
-        covered[x.check_vertex(v)] = 1
+    Depth-first with an undo log. An uncovered vertex with no uncovered neighbour
+    ends the branch, one with a single one is forced into that edge; else the search
+    branches at the vertex of fewest uncovered neighbours, lowest id first, over its
+    closed walks in the uncovered region: an edge or a cycle, each cycle once, in
+    canonical form. The list order is the search order, not part of the contract.
+    ``drop`` starts covered: these are remove_vertices(x, drop)'s subgraphs, in
+    order, in x's ids."""
+    adj, n, low = x.adjacency, x.n, 0
+    covered = bytearray(n)
+    free = list(map(len, adj))  # uncovered neighbours
+    queue = [v for v in range(n) if free[v] < 2]  # free degree may be below 2; covered ids skipped
+    log: list[tuple[int, ...]] = []  # the parts covered now, in order
+    stack = []  # per branch point: log length, lowest uncovered id, parts left
     out: list[ElementarySubgraph] = []
-    chosen: list[tuple[int, ...]] = []  # per level: the edge or cycle tried now
-    stack = []
-    v = 0
+
+    def move(part, step):  # step -1 covers the part, +1 uncovers it
+        for w in part:
+            covered[w] = 1
+        for w in part:
+            for u in adj[w]:
+                if not covered[u]:
+                    free[u] += step
+                    if free[u] < 2:
+                        queue.append(u)
+        for w in part if step > 0 else ():
+            covered[w] = 0
+
+    move({x.check_vertex(v) for v in drop}, -1)
+    queue.sort(key=lambda v: (-free[v], v))  # free degree 0 pops first: a dead start ends at once
     while True:
-        while v < x.n and covered[v]:
-            v += 1
-        if v == x.n:
-            edges = tuple(sorted(c for c in chosen if len(c) == 2))
-            cycles = tuple(Cycle(c) for c in chosen if len(c) > 2)
-            out.append(ElementarySubgraph(edges, cycles))
+        while queue:
+            v = queue.pop()
+            if not covered[v]:
+                if not free[v]:
+                    break  # a dead branch
+                u = next(w for w in adj[v] if not covered[w])
+                log.append((v, u) if v < u else (u, v))
+                move(log[-1], -1)
         else:
-            # the parts covering v are its closed walks v..v: (v, u, v) is the
-            # edge (v, u), a longer walk a cycle; second <= last keeps one
-            # traversal direction of each
-            walks = simple_paths(adj, v, v, covered)
-            parts = [c[:-1] for c in walks if c[1] <= c[-2]]
-            stack.append((v, iter(parts)))
-            chosen.append(())  # the new level has covered nothing yet
+            low = covered.find(0, low)  # the lowest uncovered vertex, -1 for none
+            if low < 0:
+                cycles = tuple(Cycle(p) for p in sorted(log) if len(p) > 2)
+                out.append(ElementarySubgraph(tuple(sorted(p for p in log if len(p) == 2)), cycles))
+            else:  # every uncovered vertex has 2 or more uncovered neighbours
+                rest = (w for w in range(low, n) if not covered[w])
+                v = low if free[low] == 2 else min(rest, key=free.__getitem__)
+                # second <= last keeps one traversal direction of each closed walk
+                walks = simple_paths(adj, v, v, covered)
+                parts = [_canonical(c[:-1]) for c in walks if c[1] <= c[-2]]
+                stack.append((len(log), low, iter(parts)))
         while stack:
-            v, parts = stack[-1]
-            for w in chosen.pop():
-                covered[w] = 0
+            mark, low, parts = stack[-1]
+            while len(log) > mark:  # back to the branch point
+                move(log.pop(), 1)
+            queue.clear()
             part = next(parts, None)
             if part is not None:
-                for w in part:
-                    covered[w] = 1
-                chosen.append(part)
+                log.append(part)
+                move(part, -1)
                 break
             stack.pop()
         else:
             return out
+
+
+def _canonical(part: tuple[int, ...]) -> tuple[int, ...]:
+    # an edge as a low-high pair, a cycle in Cycle's canonical rotation
+    k = part.index(min(part))
+    c = part[k:] + part[:k]
+    return c if c[1] < c[-1] else (c[0], *c[:0:-1])
 
 
 def det_via_elementary(x: MixedGraph, ctx: CyclotomicContext, drop: tuple = ()) -> CyclotomicNumber:

@@ -3,7 +3,8 @@
 The oracles re-derive answers by exhaustive enumeration with none of the
 library's pruning, so agreement is meaningful: perfect matchings by direct
 recursion, simple paths via networkx, elementary subgraphs by scanning every
-edge subset. The matching, alternating-cycle, co-augmenting, peg and
+edge subset, and on larger graphs by the plain lowest-vertex search with no
+forced edges. The matching, alternating-cycle, co-augmenting, peg and
 canonical-cycle helpers below exist only for the tests; the package has none.
 The cyclotomic references redo field arithmetic on Fraction coordinates and
 sort entries by scanning every signed root power. The CLI table at the end
@@ -31,6 +32,7 @@ from hermix import (
     Cycle,
     CyclotomicContext,
     CyclotomicNumber,
+    ElementarySubgraph,
     GraphDocument,
     Matching,
     MixedGraph,
@@ -41,6 +43,7 @@ from hermix import (
     unique_cycle,
 )
 from hermix.errors import GenerationFailed
+from hermix.graph import simple_paths
 
 settings.register_profile("pkg", deadline=None, max_examples=60)
 settings.load_profile("pkg")
@@ -308,6 +311,48 @@ def spanning_elementary_oracle(x: MixedGraph) -> set:
             if ok:
                 found.add((frozenset(singles), frozenset(cycles)))
     return found
+
+
+def lowest_vertex_elementary_oracle(x: MixedGraph, drop: tuple = ()) -> list[ElementarySubgraph]:
+    """The spanning elementary subgraphs of x minus ``drop`` by the plain
+    search: every level covers the lowest uncovered vertex by one of its closed
+    walks in the uncovered region, with no forced edges and no dead-branch
+    test."""
+    adj = x.adjacency
+    covered = bytearray(x.n)
+    for v in drop:
+        covered[x.check_vertex(v)] = 1
+    out: list[ElementarySubgraph] = []
+    chosen: list[tuple[int, ...]] = []  # per level: the edge or cycle tried now
+    stack = []
+    v = 0
+    while True:
+        while v < x.n and covered[v]:
+            v += 1
+        if v == x.n:
+            edges = tuple(sorted(c for c in chosen if len(c) == 2))
+            cycles = tuple(Cycle(c) for c in chosen if len(c) > 2)
+            out.append(ElementarySubgraph(edges, cycles))
+        else:
+            # v is the least uncovered vertex, so each walk starts at its
+            # cycle's least vertex; second <= last keeps one direction
+            walks = simple_paths(adj, v, v, covered)
+            parts = [c[:-1] for c in walks if c[1] <= c[-2]]
+            stack.append((v, iter(parts)))
+            chosen.append(())  # the new level has covered nothing yet
+        while stack:
+            v, parts = stack[-1]
+            for w in chosen.pop():
+                covered[w] = 0
+            part = next(parts, None)
+            if part is not None:
+                for w in part:
+                    covered[w] = 1
+                chosen.append(part)
+                break
+            stack.pop()
+        else:
+            return out
 
 
 def library_elementary_canonical(subs) -> set:
@@ -578,6 +623,15 @@ def cli_cases(tmp: Path) -> list[CliCase]:
             "bool_n",
             ("det", str(bad)),
             transcript(2, "", "error: ParseError: field 'n' must be a nonnegative integer\n"),
+        )
+    )
+    huge = tmp / "huge_n.json"
+    huge.write_text('{"n": 50000000, "digons": [], "arcs": [], "alpha_order": 2}')
+    cases.append(
+        CliCase(
+            "huge_n",
+            ("det", str(huge)),
+            transcript(2, "", "error: ParseError: field 'n' must be at most 1000000\n"),
         )
     )
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()

@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import importlib
 import io
@@ -21,6 +22,7 @@ import hermix.unicyclic as unicyclic
 from hermix import (
     CyclotomicContext,
     CyclotomicNumber,
+    ExactHermitianMatrix,
     GenerationFailed,
     GraphDocument,
     InternalCheckFailed,
@@ -28,11 +30,13 @@ from hermix import (
     ParseError,
     co_augmenting_paths,
     ensure_class_h,
+    enumerate_paths,
     generate_instance,
     parse_graph,
     render_document,
     unique_cycle,
 )
+from hermix.documents import MAX_VERTICES
 from hermix.inverse import _inverse_upm, orient_nonmatching
 from hermix.spectral import LEIBNIZ_CAP, det_via_elementary
 from hermix.unicyclic import EXHAUSTIVE_CAP
@@ -241,14 +245,18 @@ def test_paths_listed_only_where_read(monkeypatch):
 
 def test_check_computes_shared_facts_once(monkeypatch, tmp_path):
     # one full determinant, no field inverse and one order-3 inverse per call,
-    # whether the document's own inverse is the order-3 one or not
-    full_dets, inverses, order3 = [], [], []
+    # whether the document's own inverse is the order-3 one or not; and one
+    # adjugate minor per distinct vertex set of a path
+    full_dets, inverses, order3, minors = [], [], [], []
     doc = parse_graph((DATA / "c6_two_pendants.json").read_text())
+    x = doc.to_graph()
+    path_sets = {
+        frozenset(p) for i in range(x.n) for j in range(i + 1, x.n) for p in enumerate_paths(x, i, j)
+    }
 
     def det_counted(g, ctx, drop=()):
         # a minor of the adjugate covers its path: only an empty drop is a full det
-        if not drop:
-            full_dets.append(g)
+        (minors if drop else full_dets).append(frozenset(drop))
         return det_via_elementary(g, ctx, drop)
 
     def inv_counted(self):
@@ -268,11 +276,28 @@ def test_check_computes_shared_facts_once(monkeypatch, tmp_path):
     order5.write_text(render_document(replace(doc, alpha_order=5)))
     assert doc.alpha_order == 3
     for path in (DATA / "c6_two_pendants.json", order5):
-        for calls in (full_dets, inverses, order3):
+        for calls in (full_dets, inverses, order3, minors):
             calls.clear()
         code, out, _ = run_cli(["check", str(path)])
         assert (code, out.splitlines()[-1]) == (0, "result: ok (10 checks)")
         assert (len(full_dets), len(inverses), len(order3)) == (1, 0, 1)
+        assert len(minors) == len(set(minors)) and set(minors) == path_sets
+
+
+def test_general_formula_check_fails_on_altered_facts():
+    doc = parse_graph((DATA / "c6_two_pendants.json").read_text())
+    facts = cli.GraphFacts(doc.to_graph(), CyclotomicContext(doc.alpha_order))
+    assert cli.run_check("inverse_vs_general_formula", facts) == "pass"
+    # one hermitian pair of the inverse doubled, the rest as it was
+    rows = [dict(row) for row in facts.inverse.rows]
+    i, j = 5, max(rows[5])
+    rows[i][j], rows[j][i] = 2 * rows[i][j], 2 * rows[j][i]
+    altered = copy.copy(facts)
+    altered.inverse = ExactHermitianMatrix(facts.ctx, rows)
+    assert cli.run_check("inverse_vs_general_formula", altered) == "fail"
+    altered = copy.copy(facts)
+    altered.det = -facts.det
+    assert cli.run_check("inverse_vs_general_formula", altered) == "fail"
 
 
 def test_check_reports_a_failing_check(monkeypatch):
@@ -491,6 +516,7 @@ def test_graph_document_checks_every_field():
         ("n", True, bad_n),
         ("n", -1, bad_n),
         ("n", 2.0, bad_n),
+        ("n", MAX_VERTICES + 1, "field 'n' must be at most 1000000"),
         ("alpha_order", True, bad_order),
         ("alpha_order", 3.0, bad_order),
         ("alpha_order", 0, bad_order),
@@ -515,6 +541,8 @@ def test_graph_document_checks_every_field():
         n=np.int64(2), digons=[(0, 1)], arcs=[], alpha_order=np.int16(5), labels=["a", "b"]
     )
     assert (type(doc.n), type(doc.alpha_order), doc.labels) == (int, int, ("a", "b"))
+    # the largest vertex count is a document; its graph is not built here
+    assert GraphDocument(n=MAX_VERTICES, digons=[], arcs=[], alpha_order=3).n == 1_000_000
 
 
 _id_values = st.integers(-2, 8) | st.integers(0, 8).map(np.int64)
@@ -650,16 +678,17 @@ def test_module_exit_code_passes_through(tmp_path):
 
 @pytest.mark.parametrize("command", ["det", "gen"])
 def test_input_too_large_for_memory_exit_2(tmp_path, command):
-    # 60 bytes of JSON ask for 50 million vertices; gen's candidate edge list
-    # at n = 40000 has about 400 million pairs
-    doc = tmp_path / "huge.json"
-    doc.write_text('{"n": 50000000, "digons": [], "arcs": [], "alpha_order": 2}')
+    # the most vertices a document may declare, a million, need about 270 MiB
+    # of address space where the interpreter and numpy start in about 100 MiB;
+    # gen's candidate edge list at n = 40000 has about 400 million pairs
+    doc = tmp_path / "million.json"
+    doc.write_text(f'{{"n": {MAX_VERTICES}, "digons": [], "arcs": [], "alpha_order": 2}}')
     out = tmp_path / "g.json"
-    argv = {
-        "det": ["det", str(doc)],
-        "gen": ["gen", "--seed", "1", "--n", "40000", "--unicyclic", "-o", str(out)],
+    argv, mib = {
+        "det": (["det", str(doc)], 192),
+        "gen": (["gen", "--seed", "1", "--n", "40000", "--unicyclic", "-o", str(out)], 512),
     }[command]
-    result = run_module("hermix", *argv, address_space=512 * 2**20)
+    result = run_module("hermix", *argv, address_space=mib * 2**20)
     assert result.returncode == 2
     assert result.stdout == ""
     assert result.stderr.startswith("error: MemoryError: ")

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from hermix import (
     CyclotomicNumber,
     DimensionTooLarge,
     ExactHermitianMatrix,
+    GenerationFailed,
     MixedGraph,
     NotAWalk,
     NumericallySingular,
@@ -22,12 +24,15 @@ from hermix import (
     det_via_elementary,
     enumerate_paths,
     enumerate_spanning_elementary,
+    generate_instance,
     h_alpha_matrix,
     inverse_bipartite_upm,
     numeric_inverse,
     remove_vertices,
     walk_value,
 )
+from hermix import spectral
+from hermix.graph import simple_paths
 
 from conftest import (
     deep_path,
@@ -36,6 +41,7 @@ from conftest import (
     k2_arc,
     k2_digon,
     library_elementary_canonical,
+    lowest_vertex_elementary_oracle,
     p4,
     pentagon_tail,
     random_mixed_graph,
@@ -209,6 +215,65 @@ def test_spanning_elementary_against_subset_scan():
         if got:
             nonempty += 1
     assert nonempty > 15
+
+
+def assert_same_subgraphs(x, drop):
+    got = enumerate_spanning_elementary(x, drop)
+    want = lowest_vertex_elementary_oracle(x, drop)
+    assert library_elementary_canonical(got) == library_elementary_canonical(want)
+    assert len(got) == len(want)  # no duplicates
+
+
+def test_forced_edge_search_against_lowest_vertex_oracle():
+    # sparse to dense, bipartite or not, at drop = () and at every i..j path
+    rng = random.Random(25)
+    nonempty = 0
+    for _ in range(400):
+        x = random_mixed_graph(rng, rng.randrange(0, 10), p=rng.choice((0.2, 0.4, 0.6)))
+        drops = [()]
+        if x.n > 1:
+            drops += enumerate_paths(x, *rng.sample(range(x.n), 2))
+        for drop in drops:
+            assert_same_subgraphs(x, drop)
+        nonempty += bool(enumerate_spanning_elementary(x))
+    assert nonempty > 100
+
+
+def test_forced_edge_search_on_every_path_minor_of_class_h():
+    # the documents check serves: generated trees and unicyclic graphs
+    minors = 0
+    for n in (8, 10, 12, 16, 20):
+        for seed in range(1, 11):
+            for unicyclic in (False, True):
+                try:
+                    x = generate_instance(seed, n, unicyclic).to_graph()
+                except GenerationFailed:
+                    continue
+                pairs = combinations(range(n), 2)
+                for path_set in {frozenset(p) for i, j in pairs for p in enumerate_paths(x, i, j)}:
+                    assert_same_subgraphs(x, tuple(sorted(path_set)))
+                    minors += 1
+    assert minors > 5000
+
+
+def test_class_h_determinant_takes_forced_edges(monkeypatch):
+    # a tree is all forced edges; a unicyclic graph may leave its bare cycle,
+    # one search. The lowest-vertex search took seconds on some of these.
+    searches = []
+
+    def counted(adj, start, target, blocked):
+        searches.append(start)
+        return simple_paths(adj, start, target, blocked)
+
+    monkeypatch.setattr(spectral, "simple_paths", counted)
+    ctx = CyclotomicContext(3)
+    cases = [(n, seed, False, 0) for n in (40, 80, 160, 320) for seed in (1, 2)]
+    cases += [(160, seed, True, 1) for seed in range(1, 6)] + [(320, 1, True, 1), (320, 2, True, 1)]
+    for n, seed, unicyclic, most in cases:
+        searches.clear()
+        x = generate_instance(seed, n, unicyclic).to_graph()
+        assert det_via_elementary(x, ctx) == (-1) ** (n // 2)
+        assert len(searches) <= most
 
 
 def test_spanning_elementary_edge_cases():
