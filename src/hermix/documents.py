@@ -142,6 +142,8 @@ def generate_instance(seed: int, n: int, unicyclic: bool = False) -> GraphDocume
     """
     if not isinstance(n, int) or n < 2 or n % 2:
         raise InvalidParameter(f"vertex count must be even and >= 2, got {n!r}")
+    if n > MAX_VERTICES:
+        raise InvalidParameter(f"vertex count must be at most {MAX_VERTICES}, got {n}")
     rng = random.Random(seed)
     matching = {(0, 1)}
     edges = {(0, 1)}

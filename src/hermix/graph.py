@@ -5,7 +5,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import (
     BadVertexId,
@@ -135,30 +135,30 @@ def enumerate_paths(x: MixedGraph, i: int, j: int) -> list[tuple[int, ...]]:
     x.check_vertex(j)
     if i == j:
         raise SameVertex(f"need two distinct endpoints, got {i} twice")
-    return simple_paths(x.adjacency, i, j, bytearray(x.n))
+    return list(simple_paths(x.adjacency, i, j, bytearray(x.n)))
 
 
-def simple_paths(adj, start, target, blocked) -> list[tuple[int, ...]]:
+def simple_paths(adj, start, target, blocked) -> Iterator[tuple[int, ...]]:
     """Every path start..target with no repeated inner vertex and none blocked,
     in lexicographic order; with target == start, the closed walks through start;
-    with target None, every path from start, each listed as its last vertex is entered.
+    with target None, every path from start, each given as its last vertex is entered.
 
     ``blocked[v]`` is nonzero for a vertex the walk may not enter, and must be
     zero at start. Depth-first over an explicit stack of neighbour iterators;
     the walk marks its own vertices in ``blocked`` and clears them on the way
-    back, so ``blocked`` is as it was when this returns.
+    back, so ``blocked`` is as it was once every path is read. A generator: the
+    caller reads each path as it is found, and no list of them is kept.
     """
-    out: list[tuple[int, ...]] = []
     path = [start]
     blocked[start] = 1
     stack = [iter(adj[start])]
     while stack:
         for w in stack[-1]:
             if w == target:
-                out.append((*path, w))
+                yield (*path, w)
             elif not blocked[w]:
                 if target is None:
-                    out.append((*path, w))
+                    yield (*path, w)
                 blocked[w] = 1
                 path.append(w)
                 stack.append(iter(adj[w]))
@@ -166,7 +166,6 @@ def simple_paths(adj, start, target, blocked) -> list[tuple[int, ...]]:
         else:
             stack.pop()
             blocked[path.pop()] = 0
-    return out
 
 
 def balance(adj, roots, keep) -> tuple[list[int], tuple[int, int] | None]:

@@ -34,10 +34,11 @@ def inverse_entry_general(
 
 def _adjugate_row(x: MixedGraph, ctx: CyclotomicContext, paths, minors: dict) -> dict:
     # det(H) * (H^-1)_ij per last vertex j of the i..j paths P: sum h(P) * det(H - V(P)),
-    # negated on odd edge counts; ``minors`` keeps each minor by V(P), all it depends on
+    # negated on odd edge counts; ``minors`` keeps each minor by V(P), all it depends
+    # on, as the bit set of P's vertices
     acc = {}
     for path in paths:
-        key = frozenset(path)
+        key = sum(1 << v for v in path)
         if key not in minors:
             minors[key] = det_via_elementary(x, ctx, path)
         if not minors[key].is_zero():

@@ -147,21 +147,21 @@ def enumerate_spanning_elementary(x: MixedGraph, drop: tuple = ()) -> list[Eleme
 
     Depth-first with an undo log. An uncovered vertex with no uncovered neighbour
     ends the branch, one with a single one is forced into that edge; else the search
-    branches at the vertex of fewest uncovered neighbours, lowest id first, over its
-    closed walks in the uncovered region: an edge or a cycle, each cycle once, in
-    canonical form. The list order is the search order, not part of the contract.
+    branches at the lowest uncovered vertex v over its closed walks in the uncovered
+    region, an edge (v, u, v) or a longer cycle, each cycle once, in its canonical
+    direction. The list order is the search order, not part of the contract.
     ``drop`` starts covered: these are remove_vertices(x, drop)'s subgraphs, in
     order, in x's ids."""
     adj, n, low = x.adjacency, x.n, 0
     covered = bytearray(n)
     free = list(map(len, adj))  # uncovered neighbours
-    queue = [v for v in range(n) if free[v] < 2]  # free degree may be below 2; covered ids skipped
+    queue = [v for v in range(n) if free[v] < 2]  # free degree 0 or 1; covered ones are skipped
     log: list[tuple[int, ...]] = []  # the parts covered now, in order
     stack = []  # per branch point: log length, lowest uncovered id, parts left
     out: list[ElementarySubgraph] = []
 
     def move(part, step):  # step -1 covers the part, +1 uncovers it
-        for w in part:
+        for w in part if step < 0 else ():
             covered[w] = 1
         for w in part:
             for u in adj[w]:
@@ -173,7 +173,6 @@ def enumerate_spanning_elementary(x: MixedGraph, drop: tuple = ()) -> list[Eleme
             covered[w] = 0
 
     move({x.check_vertex(v) for v in drop}, -1)
-    queue.sort(key=lambda v: (-free[v], v))  # free degree 0 pops first: a dead start ends at once
     while True:
         while queue:
             v = queue.pop()
@@ -189,11 +188,11 @@ def enumerate_spanning_elementary(x: MixedGraph, drop: tuple = ()) -> list[Eleme
                 cycles = tuple(Cycle(p) for p in sorted(log) if len(p) > 2)
                 out.append(ElementarySubgraph(tuple(sorted(p for p in log if len(p) == 2)), cycles))
             else:  # every uncovered vertex has 2 or more uncovered neighbours
-                rest = (w for w in range(low, n) if not covered[w])
-                v = low if free[low] == 2 else min(rest, key=free.__getitem__)
-                # second <= last keeps one traversal direction of each closed walk
-                walks = simple_paths(adj, v, v, covered)
-                parts = [_canonical(c[:-1]) for c in walks if c[1] <= c[-2]]
+                # the parts covering low are its closed walks low..low: (low, u, low)
+                # is the edge (low, u), a longer walk a cycle; second <= last keeps
+                # one traversal direction of each
+                walks = simple_paths(adj, low, low, covered)
+                parts = [c[:-1] for c in walks if c[1] <= c[-2]]
                 stack.append((len(log), low, iter(parts)))
         while stack:
             mark, low, parts = stack[-1]
@@ -208,13 +207,6 @@ def enumerate_spanning_elementary(x: MixedGraph, drop: tuple = ()) -> list[Eleme
             stack.pop()
         else:
             return out
-
-
-def _canonical(part: tuple[int, ...]) -> tuple[int, ...]:
-    # an edge as a low-high pair, a cycle in Cycle's canonical rotation
-    k = part.index(min(part))
-    c = part[k:] + part[:k]
-    return c if c[1] < c[-1] else (c[0], *c[:0:-1])
 
 
 def det_via_elementary(x: MixedGraph, ctx: CyclotomicContext, drop: tuple = ()) -> CyclotomicNumber:

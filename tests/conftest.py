@@ -634,6 +634,18 @@ def cli_cases(tmp: Path) -> list[CliCase]:
             transcript(2, "", "error: ParseError: field 'n' must be at most 1000000\n"),
         )
     )
+    # gen refuses the same bound before it grows a tree
+    cases.append(
+        CliCase(
+            "gen_huge_n",
+            ("gen", "--seed", "1", "--n", "2000000", "-o", str(tmp / "huge_gen.json")),
+            transcript(
+                2,
+                "",
+                "error: InvalidParameter: vertex count must be at most 1000000, got 2000000\n",
+            ),
+        )
+    )
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if limit:  # an integer literal over int()'s digit limit is bad input
         long_n = tmp / "long_n.json"
