@@ -175,7 +175,7 @@ def inverse_identity(f: GraphFacts) -> bool:
 
 @_check(lambda f: f.inverse is not None)
 def inverse_zero_diagonal(f: GraphFacts) -> bool:
-    return all(f.inverse.entry(i, i).is_zero() for i in range(f.x.n))
+    return all(i not in row for i, row in enumerate(f.inverse.rows))
 
 
 @_check(lambda f: f.inverse is not None)
@@ -187,11 +187,11 @@ def inverse_vs_numeric(f: GraphFacts) -> bool:
 
 @_check(lambda f: f.inverse is not None)
 def inverse_vs_general_formula(f: GraphFacts) -> bool:
-    # one path search per source; each minor once, shared by all sources
-    n, zero, minors = f.x.n, f.ctx.zero(), {}
-    for i in range(n):
+    # one path search per source, each minor once; both sides keep nonzeros only, none at det 0
+    n, minors, live = f.x.n, {}, not f.det.is_zero()
+    for i, row in enumerate(f.inverse.rows):
         sums = _adjugate_row(f.x, f.ctx, simple_paths(f.x.adjacency, i, None, bytearray(n)), minors)
-        if any(sums.get(j, zero) != f.det * f.inverse.entry(i, j) for j in range(n) if j != i):
+        if sums != {j: f.det * v for j, v in row.items() if live and j != i}:
             return False
     return True
 

@@ -182,6 +182,6 @@ def generate_instance(seed: int, n: int, unicyclic: bool = False) -> GraphDocume
         else:
             arcs.append((v, u))
     doc = GraphDocument(n=n, digons=tuple(digons), arcs=tuple(arcs), alpha_order=3)
-    if not is_unique_perfect_matching(doc.to_graph().underlying()):
+    if not is_unique_perfect_matching(doc.to_graph()):
         raise GenerationFailed(f"seed {seed}: generated graph failed verification")
     return doc

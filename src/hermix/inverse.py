@@ -2,8 +2,8 @@
 
 Two routes live here. ``inverse_entry_general`` works on any invertible mixed
 graph (off-diagonal entries only) by summing, over all simple i..j paths, the
-path value times the minor the path's vertex set leaves behind; a caller that
-sums a whole row, or many rows, shares one table of those minors.
+path value times the minor the path's vertex set leaves behind. Rows of those sums share
+one table of minors and keep nonzero entries only, the row convention of ``ExactHermitianMatrix``.
 ``inverse_bipartite_upm`` covers bipartite graphs with a unique perfect
 matching, where entry (i, j) is a signed sum over co-augmenting i..j paths;
 one recurrence builds it, listing no path, in O(n * |E|) field operations.
@@ -34,8 +34,8 @@ def inverse_entry_general(
 
 def _adjugate_row(x: MixedGraph, ctx: CyclotomicContext, paths, minors: dict) -> dict:
     # det(H) * (H^-1)_ij per last vertex j of the i..j paths P: sum h(P) * det(H - V(P)),
-    # negated on odd edge counts; ``minors`` keeps each minor by V(P), all it depends
-    # on, as the bit set of P's vertices
+    # negated on odd edge counts; only the nonzero sums, the row convention of
+    # ExactHermitianMatrix. ``minors`` keeps each minor by the bit set of V(P)
     acc = {}
     for path in paths:
         key = sum(1 << v for v in path)
@@ -45,7 +45,7 @@ def _adjugate_row(x: MixedGraph, ctx: CyclotomicContext, paths, minors: dict) ->
             j, term = path[-1], walk_value(x, ctx, path) * minors[key]
             term = -term if len(path) % 2 == 0 else term
             acc[j] = acc[j] + term if j in acc else term
-    return acc
+    return {j: v for j, v in acc.items() if not v.is_zero()}
 
 
 def inverse_bipartite_upm(x: MixedGraph, ctx: CyclotomicContext) -> ExactHermitianMatrix:

@@ -295,6 +295,16 @@ def test_general_formula_check_fails_on_altered_facts():
     altered = copy.copy(facts)
     altered.inverse = ExactHermitianMatrix(facts.ctx, rows)
     assert cli.run_check("inverse_vs_general_formula", altered) == "fail"
+    # a hermitian pair inserted where the inverse stores none, then a stored pair
+    # deleted (the constructor drops a zero): a comparison that reads only one
+    # side's keys passes one of them
+    absent = next(k for k in range(doc.n) if k != i and k not in facts.inverse.rows[i])
+    for k, value in ((absent, facts.ctx.one()), (j, facts.ctx.zero())):
+        rows = [dict(row) for row in facts.inverse.rows]
+        rows[i][k] = rows[k][i] = value
+        altered = copy.copy(facts)
+        altered.inverse = ExactHermitianMatrix(facts.ctx, rows)
+        assert cli.run_check("inverse_vs_general_formula", altered) == "fail"
     altered = copy.copy(facts)
     altered.det = -facts.det
     assert cli.run_check("inverse_vs_general_formula", altered) == "fail"

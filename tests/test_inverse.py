@@ -23,8 +23,11 @@ from hermix import (
     orient_nonmatching,
     walk_value,
 )
+from hermix.graph import simple_paths
+from hermix.inverse import _adjugate_row
 
 from conftest import (
+    c8_two_adjacent_pendants,
     coaug_paths_oracle,
     h_corpus,
     k2_arc,
@@ -146,6 +149,14 @@ def test_general_formula_against_numeric_inverse():
         except NotInClassH:
             nonbipartite += 1
     assert nonbipartite > 3
+
+
+def test_adjugate_row_keeps_nonzero_sums_only():
+    # the two co-augmenting 8..9 paths, 8-0-1-9 and the one around the cycle, cancel
+    x, ctx = c8_two_adjacent_pendants(), CyclotomicContext(3)
+    row = _adjugate_row(x, ctx, simple_paths(x.adjacency, 8, None, bytearray(x.n)), {})
+    assert row and 9 not in row and not any(v.is_zero() for v in row.values())
+    assert inverse_entry_general(x, ctx, 8, 9) == ctx.zero()
 
 
 def test_pentagon_tail_diagonal_value():

@@ -65,3 +65,8 @@ def test_document_format_example_is_the_generator_golden():
     (example,) = fenced_blocks("json")
     golden = (GOLDEN / "gen_seed7_n10_unicyclic.json").read_text()
     assert example == golden == render_document(generate_instance(7, 10, True))
+
+
+def test_check_list_is_the_registry():
+    listed = re.findall(r"^(\d+)\. `(\w+)`:", README, flags=re.M)
+    assert listed == [(str(k), name) for k, name in enumerate(cli.CHECKS, 1)]
