@@ -47,16 +47,9 @@ from .unicyclic import (
 )
 
 
-def format_complex(z: complex) -> str:
-    re = 0.0 if abs(z.real) < 5e-13 else z.real
-    im = 0.0 if abs(z.imag) < 5e-13 else z.imag
-    re_s = format(re, ".10g")
-    if re_s == "-0":
-        re_s = "0"
-    if im == 0.0:
-        return re_s
-    im_s = format(abs(im), ".10g")
-    return f"{re_s}{'-' if im < 0 else '+'}{im_s}i"
+def format_real(x: float) -> str:
+    # float noise below 5e-13, -0.0 included, prints as 0
+    return format(0.0 if abs(x) < 5e-13 else x, ".10g")
 
 
 def _load(path: str) -> GraphDocument:
@@ -73,7 +66,7 @@ def command_det(doc: GraphDocument, out) -> int:
     ctx = CyclotomicContext(doc.alpha_order)
     det = det_via_elementary(x, ctx)
     print(
-        f"det = {det.to_polynomial_string()} ({format_complex(det.to_complex())})",
+        f"det = {det.to_polynomial_string()} ({format_real(det.to_complex().real)})",
         file=out,
     )
     return 0

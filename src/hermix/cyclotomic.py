@@ -224,7 +224,7 @@ class CyclotomicNumber:
             return NotImplemented
         return self * o.inv()
 
-    # -- conjugation and real part -------------------------------------------
+    # -- conjugation ---------------------------------------------------------
 
     def conj(self) -> "CyclotomicNumber":
         """Complex conjugate: alpha maps to alpha^(n-1)."""
@@ -245,11 +245,6 @@ class CyclotomicNumber:
         # an automorphism maps Z[alpha] onto itself, so it keeps the gcd of
         # the numerators and the result needs no reduction
         return _raw(ctx, tuple(out), self.den)
-
-    def real_part(self) -> "CyclotomicNumber":
-        """(x + conj(x)) / 2, exact."""
-        s = self + self.conj()
-        return _reduced(self.ctx, s.nums, s.den * 2)
 
     # -- predicates / conversion ---------------------------------------------
 

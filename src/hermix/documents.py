@@ -7,14 +7,12 @@ import json
 import operator
 import random
 import sys
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 from .errors import GenerationFailed, InvalidParameter, ParseError
 from .graph import MixedGraph
 from .matching import is_unique_perfect_matching
 
-_REQUIRED = ("n", "digons", "arcs", "alpha_order")
-_OPTIONAL = ("labels",)
 # CyclotomicContext tabulates an order x phi(order) table of powers
 MAX_ALPHA_ORDER = 1000
 MAX_VERTICES = 1_000_000  # MixedGraph allocates a row per vertex before reading edges
@@ -98,10 +96,11 @@ def parse_graph(text: str) -> GraphDocument:
         raise ParseError("document is nested too deeply") from None
     if not isinstance(raw, dict):
         raise ParseError("top level must be an object")
-    unknown = sorted(set(raw) - set(_REQUIRED) - set(_OPTIONAL))
+    known = fields(GraphDocument)
+    unknown = sorted(set(raw) - {f.name for f in known})
     if unknown:
         raise ParseError(f"unknown fields: {', '.join(unknown)}")
-    missing = sorted(set(_REQUIRED) - set(raw))
+    missing = sorted({f.name for f in known if f.default is MISSING} - set(raw))
     if missing:
         raise ParseError(f"missing fields: {', '.join(missing)}")
     try:

@@ -59,12 +59,6 @@ class MixedGraph:
             raise BadVertexId(f"vertex {v!r} outside 0..{self.n - 1}")
         return v
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return tuple(self.adjacency[self.check_vertex(v)])
-
-    def degree(self, v: int) -> int:
-        return len(self.adjacency[self.check_vertex(v)])
-
     def has_edge(self, u: int, v: int) -> bool:
         return self.hermitian_exponent(u, v) is not None
 
@@ -146,7 +140,9 @@ def simple_paths(adj, start, target, blocked) -> Iterator[tuple[int, ...]]:
     ``blocked[v]`` is nonzero for a vertex the walk may not enter, and must be
     zero at start. Depth-first over an explicit stack of neighbour iterators;
     the walk marks its own vertices in ``blocked`` and clears them on the way
-    back, so ``blocked`` is as it was once every path is read. A generator: the
+    back, so ``blocked`` is as it was once every path is read. It reads
+    ``adj[v]`` just after it marks v, so a row may depend on the vertices the
+    path holds then (co_augmenting_paths relies on that). A generator: the
     caller reads each path as it is found, and no list of them is kept.
     """
     path = [start]
@@ -210,14 +206,6 @@ class Cycle:
 
     def __len__(self):
         return len(self.vertices)
-
-    def __contains__(self, v):
-        return v in self.vertices
-
-    @property
-    def edges(self) -> tuple[tuple[int, int], ...]:
-        walk = self.closed_walk()
-        return tuple(sorted((min(e), max(e)) for e in zip(walk, walk[1:])))
 
     def closed_walk(self) -> tuple[int, ...]:
         return self.vertices + (self.vertices[0],)

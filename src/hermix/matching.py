@@ -12,7 +12,7 @@ from .errors import (
     NotPerfect,
     SameVertex,
 )
-from .graph import MixedGraph, balance
+from .graph import MixedGraph, balance, simple_paths
 
 
 class Matching:
@@ -118,6 +118,28 @@ def ensure_class_h(x: MixedGraph) -> Matching:
     return m
 
 
+class _Steps:
+    """The exits from v of an alternating path that starts at i, read by
+    simple_paths just after it marks v in ``on_path``.
+
+    If partner[v] is on the path, v came in by its matching edge and may leave
+    by any edge; its partner is blocked. Otherwise v is i or came in by a
+    non-matching edge, and may leave only by its matching edge, which it
+    lacks when that pair is not an edge of x.
+    """
+
+    __slots__ = ("adj", "partner", "on_path")
+
+    def __init__(self, adj, partner, on_path):
+        self.adj, self.partner, self.on_path = adj, partner, on_path
+
+    def __getitem__(self, v):
+        mate = self.partner[v]
+        if self.on_path[mate]:
+            return self.adj[v]
+        return (mate,) if mate in self.adj[v] else ()
+
+
 def co_augmenting_paths(
     x: MixedGraph, m: Matching, i: int, j: int | None = None
 ) -> list[tuple[int, ...]]:
@@ -126,12 +148,10 @@ def co_augmenting_paths(
     With ``j`` omitted, every co-augmenting path that starts at ``i``, in the
     same order; grouped by endpoint, that is the i..j list for every j.
 
-    Depth-first over an explicit stack, one matching edge per level: the step
-    leaving a vertex an odd number of edges in must be its matching edge, so
-    each level tries the non-matching neighbours u and steps on to partner[u].
-    The path stays a union of matching edges, so partner[u] is new when u is.
-    Every level ends on a matching edge, so the path so far is itself a
-    co-augmenting path from i.
+    One simple_paths search from i under the _Steps rule: the path alternates
+    matching and non-matching edges from a matching edge at i, so it is
+    co-augmenting exactly when it ends on a matching edge, at an even vertex
+    count.
     """
     x.check_vertex(i)
     if j is not None:
@@ -140,36 +160,9 @@ def co_augmenting_paths(
             raise SameVertex(f"need two distinct endpoints, got {i} twice")
     if not m.covers(x.n):
         raise NotPerfect("matching does not cover every vertex")
-    adj = x.adjacency
-    partner = m.partner
-    first = partner[i]
-    if first not in adj[i]:
-        return []
-    out: list[tuple[int, ...]] = [(i, first)]
-    path = [i, first]
     on_path = bytearray(x.n)
-    on_path[i] = on_path[first] = 1
-    stack = [iter(adj[first])]
-    while stack:
-        # one hop: a non-matching edge into u, then the forced matching edge to
-        # partner[u]
-        for u in stack[-1]:
-            if on_path[u]:
-                continue
-            mate = partner[u]
-            if mate not in adj[u]:
-                continue
-            on_path[u] = on_path[mate] = 1
-            path += (u, mate)
-            out.append(tuple(path))
-            stack.append(iter(adj[mate]))
-            break
-        else:
-            stack.pop()
-            on_path[path.pop()] = on_path[path.pop()] = 0
-    if j is not None:
-        return [p for p in out if p[-1] == j]
-    return out
+    walks = simple_paths(_Steps(x.adjacency, m.partner, on_path), i, None, on_path)
+    return [p for p in walks if not len(p) % 2 and (j is None or p[-1] == j)]
 
 
 def paths_by_pair(x: MixedGraph, m: Matching) -> dict[tuple[int, int], list[tuple[int, ...]]]:

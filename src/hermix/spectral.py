@@ -124,22 +124,10 @@ class ElementarySubgraph:
     cycles: tuple[Cycle, ...]
 
     @property
-    def component_count(self) -> int:
-        return len(self.edges) + len(self.cycles)
-
-    @property
-    def vertex_count(self) -> int:
-        return 2 * len(self.edges) + sum(len(c) for c in self.cycles)
-
-    @property
     def rank(self) -> int:
-        return self.vertex_count - self.component_count
-
-    @property
-    def corank(self) -> int:
-        # edge count minus rank: an edge adds 1 to both, a cycle of length L
-        # adds L edges and rank L - 1
-        return len(self.cycles)
+        # vertex count minus component count: an edge adds 2 - 1, a cycle of
+        # length L adds L - 1
+        return len(self.edges) + sum(len(c) - 1 for c in self.cycles)
 
 
 def enumerate_spanning_elementary(x: MixedGraph, drop: tuple = ()) -> list[ElementarySubgraph]:

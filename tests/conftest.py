@@ -147,7 +147,7 @@ def all_perfect_matchings(x: MixedGraph) -> list[frozenset]:
             out.append(frozenset(acc))
             return
         v = min(free)
-        for w in x.neighbors(v):
+        for w in x.adjacency[v]:
             if w in free:
                 acc.append((v, w) if v < w else (w, v))
                 grow(free - {v, w}, acc)
@@ -163,7 +163,7 @@ def find_perfect_matching(x: MixedGraph) -> Matching | None:
     match: dict[int, int] = {}
 
     def augment(v: int, seen: set[int]) -> bool:
-        for w in x.neighbors(v):
+        for w in x.adjacency[v]:
             if w in seen:
                 continue
             seen.add(w)
@@ -513,10 +513,6 @@ def ref_conj(ctx: CyclotomicContext, a):
     for i, c in enumerate(a):
         poly[(n - i) % n] += c
     return ref_reduce(ctx, poly)
-
-
-def ref_real_part(ctx: CyclotomicContext, a):
-    return tuple(c / 2 for c in ref_add(a, ref_conj(ctx, a)))
 
 
 def ref_inv(ctx: CyclotomicContext, a):

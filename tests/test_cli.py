@@ -59,6 +59,23 @@ def test_det_desk_output():
     assert err == ""
 
 
+def test_det_prints_a_real_approximation(tmp_path):
+    # 20 disjoint 5-cycles, each with one arc, at order 5: each cycle is worth
+    # 2 cos(2 pi / 5) = 1 / phi, so det = phi^-20 exactly, a real number whose
+    # float value from the power basis carries an imaginary rounding residue
+    digons = [[5 * t + a, 5 * t + a + 1] for t in range(20) for a in range(4)]
+    arcs = [[5 * t, 5 * t + 4] for t in range(20)]
+    doc = tmp_path / "pentagons.json"
+    doc.write_text(json.dumps({"n": 100, "digons": digons, "arcs": arcs, "alpha_order": 5}))
+    code, out, err = run_cli(["det", str(doc)])
+    assert code == 0 and err == ""
+    approx = out.rstrip("\n").rpartition(" (")[2]
+    assert approx.endswith(")") and "i" not in approx
+    # the digits depend on the platform's libm, so only the value is pinned
+    phi = (1 + 5 ** 0.5) / 2
+    assert float(approx[:-1]) == pytest.approx(phi**-20, rel=1e-6)
+
+
 def test_det_missing_file_exit_2(tmp_path):
     code, out, err = run_cli(["det", str(tmp_path / "nope.json")])
     assert code == 2
@@ -411,12 +428,12 @@ def test_gen_odd_order_exit_2(tmp_path):
     assert "InvalidParameter" in err
 
 
-def test_format_complex_rendering():
-    assert cli.format_complex(complex(-1, 0)) == "-1"
-    assert cli.format_complex(complex(1e-14, -1e-14)) == "0"
-    assert cli.format_complex(complex(-0.0, 0.0)) == "0"
-    assert cli.format_complex(complex(0.5, -0.8660254037844386)) == "0.5-0.8660254038i"
-    assert cli.format_complex(complex(0, 1)) == "0+1i"
+def test_format_real_rendering():
+    assert cli.format_real(-1.0) == "-1"
+    assert cli.format_real(1e-14) == "0"
+    assert cli.format_real(-1e-14) == "0"
+    assert cli.format_real(-0.0) == "0"
+    assert cli.format_real(0.5) == "0.5"
 
 
 def test_parse_error_details():

@@ -16,7 +16,6 @@ from conftest import (
     ref_conj,
     ref_inv,
     ref_mul,
-    ref_real_part,
     ref_sub,
 )
 from hermix import (
@@ -124,14 +123,6 @@ def test_inverse_multiplies_to_one(a):
     else:
         assert a * a.inv() == 1
         assert (a / a) == 1
-
-
-@given(field_elements())
-def test_real_part_is_self_conjugate(a):
-    r = a.real_part()
-    assert r == r.conj()
-    assert a + a.conj() == r * 2
-    assert abs(r.to_complex().imag) < 1e-9
 
 
 @given(field_elements())
@@ -265,7 +256,6 @@ def test_integer_arithmetic_matches_fraction_reference(pair):
         (-a, tuple(-c for c in fa)),
         (a * b, ref_mul(ctx, fa, fb)),
         (a.conj(), ref_conj(ctx, fa)),
-        (a.real_part(), ref_real_part(ctx, fa)),
     ]
     if not a.is_zero():
         results.append((a.inv(), ref_inv(ctx, fa)))

@@ -93,9 +93,9 @@ def test_hermitian_exponent_orientation():
 
 def test_neighbors_sorted_and_degree():
     x = MixedGraph(4, digons=[(2, 0)], arcs=[(3, 0), (0, 1)])
-    assert x.neighbors(0) == (1, 2, 3)
-    assert x.degree(0) == 3
-    assert x.degree(1) == 1
+    assert list(x.adjacency[0]) == [1, 2, 3]
+    assert len(x.adjacency[0]) == 3
+    assert len(x.adjacency[1]) == 1
 
 
 @st.composite
@@ -129,8 +129,6 @@ def assert_rows_match_edge_lists(n, digons, arcs):
         nbrs = sorted(v for w, v in want if w == u)
         assert list(x.adjacency[u]) == nbrs
         assert dict(x.adjacency[u]) == {v: want[u, v] for v in nbrs}
-        assert x.neighbors(u) == tuple(nbrs)
-        assert x.degree(u) == len(nbrs)
         with pytest.raises(TypeError):
             x.adjacency[u][u] = 0
         for bad in (-1, n):
@@ -210,9 +208,9 @@ def test_canonical_cycle_invariance():
 
 def test_cycle_edges_and_walk():
     c = Cycle((0, 2, 5))
-    assert c.edges == ((0, 2), (0, 5), (2, 5))
-    assert c.closed_walk() == (0, 2, 5, 0)
-    assert 2 in c and 3 not in c
+    walk = c.closed_walk()
+    assert walk == (0, 2, 5, 0)
+    assert sorted((min(e), max(e)) for e in zip(walk, walk[1:])) == [(0, 2), (0, 5), (2, 5)]
     assert len(c) == 3
 
 

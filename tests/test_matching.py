@@ -205,11 +205,29 @@ def test_is_co_augmenting_shapes():
 
 
 def test_co_augmenting_paths_against_filtered_enumeration():
+    cases = []
     for doc in h_corpus(25, sizes=(6, 8, 10), unicyclic=True, seed0=300) + h_corpus(
         15, sizes=(6, 8), unicyclic=False, seed0=400
     ):
         x = doc.to_graph()
-        m = ensure_class_h(x)
+        cases.append((x, ensure_class_h(x)))
+    # beyond class H: random mixed graphs, many of them not bipartite, each with
+    # a random perfect matching of 0..n-1 whose pairs need not be edges
+    rng = random.Random(21)
+    odd_cycles = loose_pairs = 0
+    for _ in range(60):
+        n = rng.choice((2, 4, 6, 8))
+        x = random_mixed_graph(rng, n)
+        order = rng.sample(range(n), n)
+        m = Matching(zip(order[::2], order[1::2]))
+        cases.append((x, m))
+        try:
+            bipartition(x)
+        except NotBipartite:
+            odd_cycles += 1
+        loose_pairs += any(not x.has_edge(u, v) for u, v in m.edges)
+    assert odd_cycles >= 10 and loose_pairs >= 10
+    for x, m in cases:
         pairs = paths_by_pair(x, m)
         for i in range(x.n):
             for j in range(x.n):

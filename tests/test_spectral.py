@@ -299,9 +299,11 @@ def test_hexagon_has_three_spanning_elementary():
 def test_rank_corank_bookkeeping():
     c6 = MixedGraph(6, digons=[(i, (i + 1) % 6) for i in range(6)])
     for s in enumerate_spanning_elementary(c6):
-        assert s.vertex_count == 6
-        assert s.rank == 6 - s.component_count
-        assert s.corank == len(s.cycles)
+        components = len(s.edges) + len(s.cycles)
+        assert 2 * len(s.edges) + sum(len(c) for c in s.cycles) == 6
+        assert s.rank == 6 - components
+        # corank, edge count minus rank, is the cycle count
+        assert len(s.edges) + sum(len(c) for c in s.cycles) - s.rank == len(s.cycles)
 
 
 def test_small_determinants_known_values():
