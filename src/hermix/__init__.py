@@ -46,7 +46,6 @@ from .errors import (
     SingularMatrix,
 )
 from .graph import (
-    Cycle,
     InducedSubgraph,
     MixedGraph,
     enumerate_paths,
@@ -67,7 +66,6 @@ from .matching import (
     unique_perfect_matching,
 )
 from .spectral import (
-    ElementarySubgraph,
     ExactHermitianMatrix,
     det_leibniz,
     det_via_elementary,

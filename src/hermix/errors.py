@@ -1,8 +1,12 @@
-"""Error taxonomy. Every condition the library can reject has its own class."""
+"""Error taxonomy: each graph, document and parameter condition the library
+rejects has its own HermixError subclass. Misused arithmetic and matrix types
+raise builtins instead: ValueError (cyclotomic_polynomial, CyclotomicContext,
+the CyclotomicNumber and ExactHermitianMatrix constructors,
+conjugated_by_signs) and ZeroDivisionError (CyclotomicNumber.inv)."""
 
 
 class HermixError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class of this package's own errors, not of the builtins above."""
 
 
 # graph construction / lookup

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Iterator, NamedTuple
 
@@ -194,25 +193,10 @@ def balance(adj, roots, keep) -> tuple[list[int], tuple[int, int] | None]:
     return label, conflict
 
 
-@dataclass(frozen=True)
-class Cycle:
-    """A cycle given by its canonical vertex rotation.
-
-    Canonical means: smallest vertex first, second vertex is the smaller of the
-    first vertex's two cycle neighbors.
-    """
-
-    vertices: tuple[int, ...]
-
-    def __len__(self):
-        return len(self.vertices)
-
-    def closed_walk(self) -> tuple[int, ...]:
-        return self.vertices + (self.vertices[0],)
-
-
-def unique_cycle(x: MixedGraph) -> Cycle:
-    """The single cycle of a connected unicyclic graph (|E| = |V|)."""
+def unique_cycle(x: MixedGraph) -> tuple[int, ...]:
+    """The single cycle of a connected unicyclic graph (|E| = |V|), as its
+    canonical vertex tuple: least vertex first, and its second vertex the
+    smaller of that vertex's two cycle neighbours."""
     if x.n == 0 or not all(balance(x.adjacency, (0,), ())[0]):
         raise NotUnicyclic("underlying graph is not connected")
     if x.edge_count != x.n:
@@ -235,4 +219,4 @@ def unique_cycle(x: MixedGraph) -> Cycle:
     # the closed walks through the least cycle vertex; second < last is canonical
     start = peeled.index(0)
     walks = simple_paths(adj, start, start, peeled)
-    return Cycle(next(c[:-1] for c in walks if c[1] < c[-2]))
+    return next(c[:-1] for c in walks if c[1] < c[-2])

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .cyclotomic import CyclotomicContext, CyclotomicNumber
@@ -13,7 +11,7 @@ from .errors import (
     NotAWalk,
     NumericallySingular,
 )
-from .graph import Cycle, MixedGraph, simple_paths
+from .graph import MixedGraph, simple_paths
 
 LEIBNIZ_CAP = 10  # largest dimension det_leibniz expands
 RESIDUAL_TOLERANCE = 1e-9
@@ -116,37 +114,25 @@ def walk_value(x: MixedGraph, ctx: CyclotomicContext, walk) -> CyclotomicNumber:
     return ctx.root_power(total)
 
 
-@dataclass(frozen=True)
-class ElementarySubgraph:
-    """Components are single edges or cycles; here always spanning its host minus drop."""
-
-    edges: tuple[tuple[int, int], ...]
-    cycles: tuple[Cycle, ...]
-
-    @property
-    def rank(self) -> int:
-        # vertex count minus component count: an edge adds 2 - 1, a cycle of
-        # length L adds L - 1
-        return len(self.edges) + sum(len(c) - 1 for c in self.cycles)
-
-
-def enumerate_spanning_elementary(x: MixedGraph, drop: tuple = ()) -> list[ElementarySubgraph]:
-    """Every subgraph spanning x minus ``drop`` whose components are edges or cycles.
+def enumerate_spanning_elementary(x: MixedGraph, drop: tuple = ()) -> list[tuple[tuple[int, ...], ...]]:
+    """Every subgraph spanning x minus ``drop`` whose components are edges or cycles,
+    each given as its parts, sorted: an edge as (u, v) with u < v, a cycle as its
+    canonical vertex tuple, least vertex first and second vertex less than last.
 
     Depth-first with an undo log. An uncovered vertex with no uncovered neighbour
     ends the branch, one with a single one is forced into that edge; else the search
     branches at the lowest uncovered vertex v over its closed walks in the uncovered
     region, an edge (v, u, v) or a longer cycle, each cycle once, in its canonical
     direction. The list order is the search order, not part of the contract.
-    ``drop`` starts covered: these are remove_vertices(x, drop)'s subgraphs, in
-    order, in x's ids."""
+    ``drop`` starts covered: these are the subgraphs of x without the vertices in
+    ``drop``, in x's ids."""
     adj, n, low = x.adjacency, x.n, 0
     covered = bytearray(n)
     free = list(map(len, adj))  # uncovered neighbours
     queue = [v for v in range(n) if free[v] < 2]  # free degree 0 or 1; covered ones are skipped
     log: list[tuple[int, ...]] = []  # the parts covered now, in order
     stack = []  # per branch point: log length, lowest uncovered id, parts left
-    out: list[ElementarySubgraph] = []
+    out: list[tuple[tuple[int, ...], ...]] = []
 
     def move(part, step):  # step -1 covers the part, +1 uncovers it
         for w in part if step < 0 else ():
@@ -173,8 +159,7 @@ def enumerate_spanning_elementary(x: MixedGraph, drop: tuple = ()) -> list[Eleme
         else:
             low = covered.find(0, low)  # the lowest uncovered vertex, -1 for none
             if low < 0:
-                cycles = tuple(Cycle(p) for p in sorted(log) if len(p) > 2)
-                out.append(ElementarySubgraph(tuple(sorted(p for p in log if len(p) == 2)), cycles))
+                out.append(tuple(sorted(log)))
             else:  # every uncovered vertex has 2 or more uncovered neighbours
                 # the parts covering low are its closed walks low..low: (low, u, low)
                 # is the edge (low, u), a longer walk a cycle; second <= last keeps
@@ -203,14 +188,16 @@ def det_via_elementary(x: MixedGraph, ctx: CyclotomicContext, drop: tuple = ()) 
 
     Each subgraph contributes (-1)^rank times the product over its cycle
     components of 2*Re(h_alpha(C)); the factor 2 accounts for the two
-    traversal directions of each cycle.
+    traversal directions of each cycle. The rank is the vertex count minus the
+    component count: an edge adds 2 - 1, a cycle of length L adds L - 1.
     """
     total = ctx.zero()
-    for sub in enumerate_spanning_elementary(x, drop):
-        term = ctx.from_rational((-1) ** sub.rank)
-        for cyc in sub.cycles:
-            v = walk_value(x, ctx, cyc.closed_walk())
-            term = term * (v + v.conj())
+    for parts in enumerate_spanning_elementary(x, drop):
+        term = ctx.from_rational((-1) ** sum(len(p) - 1 for p in parts))
+        for p in parts:
+            if len(p) > 2:  # a cycle
+                v = walk_value(x, ctx, (*p, p[0]))
+                term = term * (v + v.conj())
         total = total + term
     return total
 

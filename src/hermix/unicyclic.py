@@ -36,14 +36,13 @@ class PegInfo:
     """Cycle bookkeeping: pegs are matching edges hanging off the cycle.
 
     A peg is a matching edge that is not a cycle edge and touches exactly one
-    cycle vertex. half_length is m with |C| = 2m; every graph in the class has
-    an even cycle and at least two pegs.
+    cycle vertex. cycle_vertices is the canonical vertex tuple unique_cycle
+    returns; every graph in the class has an even cycle and at least two pegs.
     """
 
     pegs: tuple[tuple[int, int], ...]
     cycle_vertices: tuple[int, ...]
     unmatched_cycle_edge_count: int
-    half_length: int
 
 
 def peg_info(x: MixedGraph) -> PegInfo:
@@ -56,16 +55,12 @@ def _peg_info(x: MixedGraph, m: Matching) -> PegInfo:
     """Pegs are the matching edges (v, m.partner[v]) of cycle vertices v whose
     partner is off the cycle. m must be the certified unique perfect matching of x."""
     cycle = unique_cycle(x)
-    cyc_set = set(cycle.vertices)
-    walk = cycle.closed_walk()
-    mates = ((v, m.partner[v]) for v in cycle.vertices)
+    cyc_set = set(cycle)
+    mates = ((v, m.partner[v]) for v in cycle)
     pegs = tuple(sorted((min(e), max(e)) for e in mates if e[1] not in cyc_set))
-    return PegInfo(
-        pegs=pegs,
-        cycle_vertices=cycle.vertices,
-        unmatched_cycle_edge_count=sum(1 for e in zip(walk, walk[1:]) if e not in m),
-        half_length=len(cycle.vertices) // 2,
-    )
+    walk = cycle + cycle[:1]
+    unmatched = sum(1 for e in zip(walk, walk[1:]) if e not in m)
+    return PegInfo(pegs, cycle, unmatched)
 
 
 def f_walk(g: MixedGraph, m: Matching, walk) -> list[int]:
@@ -165,7 +160,7 @@ def two_peg_entry(
     h_cycle = walk_value(x, ctx, walk)
     if path[hit[0] : hit[0] + 2] in zip(walk, walk[1:]):  # F runs along the walk
         h_cycle = h_cycle.conj()
-    bracket = ctx.one() + (h_cycle if info.half_length % 2 else -h_cycle)
+    bracket = ctx.one() + (h_cycle if len(cyc) // 2 % 2 else -h_cycle)
     # h(i..v) * h(F) * h(v'..j) is the value of the whole path
     value = walk_value(x, ctx, path) * bracket
     return value if _coaug_sign(path) == 1 else -value

@@ -29,10 +29,8 @@ import hermix.cli as cli
 from hermix import (
     OTHER,
     ZERO,
-    Cycle,
     CyclotomicContext,
     CyclotomicNumber,
-    ElementarySubgraph,
     GraphDocument,
     Matching,
     MixedGraph,
@@ -233,18 +231,19 @@ def is_co_augmenting(path: tuple[int, ...], m: Matching) -> bool:
 def pegs_oracle(x: MixedGraph, m: Matching) -> tuple[tuple[int, int], ...]:
     """Pegs by a scan over every matching edge: those with exactly one end on
     the cycle, sorted."""
-    on_cycle = set(unique_cycle(x).vertices)
+    on_cycle = set(unique_cycle(x))
     return tuple(sorted(e for e in m.edges if (e[0] in on_cycle) != (e[1] in on_cycle)))
 
 
-def canonical_cycle(vertices) -> Cycle:
-    """Rotate/reflect a cyclic vertex sequence into canonical form."""
+def canonical_cycle(vertices) -> tuple[int, ...]:
+    """Rotate/reflect a cyclic vertex sequence into canonical form: least
+    vertex first, second vertex less than last."""
     vs = list(vertices)
     k = vs.index(min(vs))
     vs = vs[k:] + vs[:k]
     if len(vs) > 2 and vs[-1] < vs[1]:
         vs = [vs[0]] + vs[:0:-1]
-    return Cycle(tuple(vs))
+    return tuple(vs)
 
 
 def to_networkx(x: MixedGraph) -> nx.Graph:
@@ -263,8 +262,8 @@ def coaug_paths_oracle(x: MixedGraph, m: Matching, i: int, j: int):
 
 
 def spanning_elementary_oracle(x: MixedGraph) -> set:
-    """Canonical decompositions of every spanning elementary subgraph,
-    found by checking all 2^|E| edge subsets."""
+    """Every spanning elementary subgraph as its sorted parts, edges (u, v)
+    with u < v and canonical cycles, found by checking all 2^|E| edge subsets."""
     edges = x.underlying_edges()
     found = set()
     for r in range(len(edges) + 1):
@@ -279,7 +278,7 @@ def spanning_elementary_oracle(x: MixedGraph) -> set:
             if any(d not in (1, 2) for d in deg):
                 continue
             seen = [False] * x.n
-            singles, cycles = [], []
+            parts = []
             ok = True
             for root in range(x.n):
                 if seen[root]:
@@ -296,7 +295,7 @@ def spanning_elementary_oracle(x: MixedGraph) -> set:
                             stack.append(w)
                 comp_edges = [e for e in subset if e[0] in comp and e[1] in comp]
                 if len(comp) == 2 and len(comp_edges) == 1:
-                    singles.append(comp_edges[0])
+                    parts.append(comp_edges[0])
                 elif len(comp) >= 3 and all(deg[v] == 2 for v in comp):
                     walk = [comp[0]]
                     prev = None
@@ -304,16 +303,16 @@ def spanning_elementary_oracle(x: MixedGraph) -> set:
                         nxt = [w for w in adj[walk[-1]] if w != prev]
                         prev = walk[-1]
                         walk.append(nxt[0])
-                    cycles.append(canonical_cycle(walk).vertices)
+                    parts.append(canonical_cycle(walk))
                 else:
                     ok = False
                     break
             if ok:
-                found.add((frozenset(singles), frozenset(cycles)))
+                found.add(tuple(sorted(parts)))
     return found
 
 
-def lowest_vertex_elementary_oracle(x: MixedGraph, drop: tuple = ()) -> list[ElementarySubgraph]:
+def lowest_vertex_elementary_oracle(x: MixedGraph, drop: tuple = ()) -> list[tuple]:
     """The spanning elementary subgraphs of x minus ``drop`` by the plain
     search: every level covers the lowest uncovered vertex by one of its closed
     walks in the uncovered region, with no forced edges and no dead-branch
@@ -322,7 +321,7 @@ def lowest_vertex_elementary_oracle(x: MixedGraph, drop: tuple = ()) -> list[Ele
     covered = bytearray(x.n)
     for v in drop:
         covered[x.check_vertex(v)] = 1
-    out: list[ElementarySubgraph] = []
+    out: list[tuple] = []
     chosen: list[tuple[int, ...]] = []  # per level: the edge or cycle tried now
     stack = []
     v = 0
@@ -330,9 +329,7 @@ def lowest_vertex_elementary_oracle(x: MixedGraph, drop: tuple = ()) -> list[Ele
         while v < x.n and covered[v]:
             v += 1
         if v == x.n:
-            edges = tuple(sorted(c for c in chosen if len(c) == 2))
-            cycles = tuple(Cycle(c) for c in chosen if len(c) > 2)
-            out.append(ElementarySubgraph(edges, cycles))
+            out.append(tuple(sorted(chosen)))
         else:
             # v is the least uncovered vertex, so each walk starts at its
             # cycle's least vertex; second <= last keeps one direction
@@ -353,12 +350,6 @@ def lowest_vertex_elementary_oracle(x: MixedGraph, drop: tuple = ()) -> list[Ele
             stack.pop()
         else:
             return out
-
-
-def library_elementary_canonical(subs) -> set:
-    return {
-        (frozenset(s.edges), frozenset(c.vertices for c in s.cycles)) for s in subs
-    }
 
 
 # -- random samplers and corpora ---------------------------------------------

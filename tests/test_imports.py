@@ -1,4 +1,5 @@
 import ast
+import re
 from pathlib import Path
 from types import ModuleType
 
@@ -75,3 +76,35 @@ def test_public_names_are_the_import_block():
     star = {}
     exec("from hermix import *", star)
     assert set(star) - {"__builtins__"} == set(names)
+
+
+def test_every_public_name_is_used():
+    # each public name is referenced by another module of the package, named
+    # in README.md, or traced by the benchmark harness's PROBES
+    package = Path(hermix.__file__).parent
+    referenced = set()
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                referenced.update(alias.name for alias in node.names)
+    root = package.parent.parent
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    trace = ast.parse((root / "benchmarks" / "hbench" / "trace.py").read_text(encoding="utf-8"))
+    probes = next(
+        node.value
+        for node in trace.body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["PROBES"]
+    )
+    probed = {entry.elts[1].value.split(".")[0] for entry in probes.elts}
+    unused = [
+        name
+        for name in hermix.__all__
+        if name not in referenced
+        and name not in probed
+        and not re.search(rf"\b{re.escape(name)}\b", readme)
+    ]
+    assert unused == []

@@ -10,8 +10,6 @@ from hypothesis import strategies as st
 from hermix import (
     BadVertexId,
     ContextMismatch,
-    Cycle,
-    ElementarySubgraph,
     CyclotomicContext,
     CyclotomicNumber,
     DimensionTooLarge,
@@ -40,7 +38,6 @@ from conftest import (
     h_corpus,
     k2_arc,
     k2_digon,
-    library_elementary_canonical,
     lowest_vertex_elementary_oracle,
     p4,
     pentagon_tail,
@@ -208,7 +205,7 @@ def test_spanning_elementary_against_subset_scan():
     for _ in range(60):
         n = rng.randrange(0, 7)
         x = random_mixed_graph(rng, n, p=0.5)
-        got = library_elementary_canonical(enumerate_spanning_elementary(x))
+        got = set(enumerate_spanning_elementary(x))
         want = spanning_elementary_oracle(x)
         assert got == want
         assert len(got) == len(enumerate_spanning_elementary(x))  # no duplicates
@@ -220,8 +217,7 @@ def test_spanning_elementary_against_subset_scan():
 def assert_same_subgraphs(x, drop):
     got = enumerate_spanning_elementary(x, drop)
     want = lowest_vertex_elementary_oracle(x, drop)
-    assert library_elementary_canonical(got) == library_elementary_canonical(want)
-    assert len(got) == len(want)  # no duplicates
+    assert sorted(got) == sorted(want)  # the same parts, and no duplicates
 
 
 def test_forced_edge_search_against_lowest_vertex_oracle():
@@ -277,8 +273,7 @@ def test_class_h_determinant_takes_forced_edges(monkeypatch):
 
 
 def test_spanning_elementary_edge_cases():
-    empty = enumerate_spanning_elementary(MixedGraph(0))
-    assert len(empty) == 1 and empty[0].edges == () and empty[0].cycles == ()
+    assert enumerate_spanning_elementary(MixedGraph(0)) == [()]
     isolated = enumerate_spanning_elementary(MixedGraph(3, digons=[(0, 1)]))
     assert isolated == []
 
@@ -286,24 +281,30 @@ def test_spanning_elementary_edge_cases():
 def test_spanning_elementary_deep_path():
     x = deep_path()
     matching = tuple((k, k + 1) for k in range(0, x.n, 2))
-    assert enumerate_spanning_elementary(x) == [ElementarySubgraph(matching, ())]
+    assert enumerate_spanning_elementary(x) == [matching]
 
 
 def test_hexagon_has_three_spanning_elementary():
     c6 = MixedGraph(6, digons=[(i, (i + 1) % 6) for i in range(6)])
     subs = enumerate_spanning_elementary(c6)
-    kinds = sorted((len(s.edges), len(s.cycles)) for s in subs)
-    assert kinds == [(0, 1), (3, 0), (3, 0)]
+    assert sorted(subs) == [
+        ((0, 1), (2, 3), (4, 5)),
+        ((0, 1, 2, 3, 4, 5),),
+        ((0, 5), (1, 2), (3, 4)),
+    ]
 
 
 def test_rank_corank_bookkeeping():
     c6 = MixedGraph(6, digons=[(i, (i + 1) % 6) for i in range(6)])
     for s in enumerate_spanning_elementary(c6):
-        components = len(s.edges) + len(s.cycles)
-        assert 2 * len(s.edges) + sum(len(c) for c in s.cycles) == 6
-        assert s.rank == 6 - components
+        # the parts partition the vertices, so the rank det_via_elementary
+        # sums is the vertex count minus the component count
+        assert sorted(v for p in s for v in p) == list(range(6))
+        rank = sum(len(p) - 1 for p in s)
+        assert rank == 6 - len(s)
         # corank, edge count minus rank, is the cycle count
-        assert len(s.edges) + sum(len(c) for c in s.cycles) - s.rank == len(s.cycles)
+        edge_count = sum(len(p) if len(p) > 2 else 1 for p in s)
+        assert edge_count - rank == sum(len(p) > 2 for p in s)
 
 
 def test_small_determinants_known_values():
@@ -354,10 +355,7 @@ def test_drop_covers_the_minor_the_induced_subgraph_gives():
                 # the same subgraphs in the same order (so the same canonical sets),
                 # in the ids of x
                 mapped = [
-                    ElementarySubgraph(
-                        tuple((kept[u], kept[v]) for u, v in s.edges),
-                        tuple(Cycle(tuple(kept[v] for v in c.vertices)) for c in s.cycles),
-                    )
+                    tuple(tuple(kept[v] for v in p) for p in s)
                     for s in enumerate_spanning_elementary(sub)
                 ]
                 covered = enumerate_spanning_elementary(x, path)
@@ -370,6 +368,10 @@ def test_drop_ids_are_checked():
     x, ctx = p4(), CyclotomicContext(3)
     assert det_via_elementary(x, ctx, (0, 1)) == -1  # the digon 2-3 is left
     assert det_via_elementary(x, ctx, (1, 2)).is_zero()  # 0 and 3 are isolated
+    # a repeated id, out of order, drops the same vertices: the sign comes
+    # from the parts, not from how many ids were passed
+    assert enumerate_spanning_elementary(x, (1, 0, 1)) == enumerate_spanning_elementary(x, (0, 1))
+    assert det_via_elementary(x, ctx, (1, 0, 1)) == -1
     for drop in ((4,), (-1,), (0, True), (1.0,)):
         with pytest.raises(BadVertexId):
             enumerate_spanning_elementary(x, drop)

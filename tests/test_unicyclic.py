@@ -57,13 +57,12 @@ def test_peg_info_desk_graphs():
     assert info.pegs == ((0, 6), (3, 7))
     assert info.cycle_vertices == (0, 1, 2, 3, 4, 5)
     assert info.unmatched_cycle_edge_count == 4
-    assert info.half_length == 3
 
     y = c4_four_pendants()
     info = peg_info(y)
     assert len(info.pegs) == 4
     assert info.unmatched_cycle_edge_count == 4
-    assert info.half_length == 2
+    assert info.cycle_vertices == (0, 1, 2, 3)
 
     z = c6_four_pendants()
     info = peg_info(z)
@@ -73,7 +72,7 @@ def test_peg_info_desk_graphs():
     w = c8_two_adjacent_pendants()
     info = peg_info(w)
     assert info.pegs == ((0, 8), (1, 9))
-    assert info.half_length == 4
+    assert info.cycle_vertices == (0, 1, 2, 3, 4, 5, 6, 7)
     assert info.unmatched_cycle_edge_count == 5
 
     with pytest.raises(NotInClassH):
