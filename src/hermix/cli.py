@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import argparse
 import sys
+from decimal import Decimal, localcontext
 from functools import cache
 from typing import Callable
 
 import numpy as np
 
-from .cyclotomic import CyclotomicContext
+from .cyclotomic import CyclotomicContext, CyclotomicNumber
 from .documents import GraphDocument, generate_instance, parse_graph, render_document
 from .errors import (
     HermixError,
@@ -37,19 +38,61 @@ from .spectral import (
     numeric_inverse,
 )
 from .unicyclic import (
-    EXHAUSTIVE_CAP,
     NotSimilar,
     Similar,
     _classify,
     _peg_info,
+    _signed_entries,
+    _two_peg_value,
     classify_gamma_similarity,
-    exhaustive_diag_similarity,
+    sign_assignment,
 )
 
 
-def format_real(x: float) -> str:
-    # float noise below 5e-13, -0.0 included, prints as 0
-    return format(0.0 if abs(x) < 5e-13 else x, ".10g")
+def _pi() -> Decimal:
+    """pi at the context's precision: 3 plus t_1 + t_2 + ..., t_0 = 3 and
+    t_k = t_(k-1) (2k - 1)^2 / (8k (2k + 1)), six times the arcsine series at 1/2."""
+    with localcontext() as dc:
+        dc.prec += 2
+        pi, last, term, k = Decimal(3), None, Decimal(3), 0
+        while pi != last:
+            last, k = pi, k + 1
+            term = term * (2 * k - 1) ** 2 / (8 * k * (2 * k + 1))
+            pi += term
+    return +pi
+
+
+def _cos(x: Decimal) -> Decimal:
+    """cos(x) for |x| <= pi at the context's precision, by its Taylor series."""
+    with localcontext() as dc:
+        dc.prec += 2
+        total, last, term, k = Decimal(1), None, Decimal(1), 0
+        while total != last:
+            last, k = total, k + 2
+            term = -term * x * x / (k * (k - 1))
+            total += term
+    return +total
+
+
+def real_value(z: CyclotomicNumber) -> float:
+    """Re(z) rounded to a float: the power basis summed in decimal at a
+    precision doubled from 30 digits until the sum is 1e12 times its error
+    bound. 0 when Re(z) is exactly zero, +-inf beyond the float range."""
+    if (z + z.conj()).is_zero():
+        return 0.0
+    n = z.ctx.order
+    terms = [(c, min(k, n - k)) for k, c in enumerate(z.nums) if c]
+    digits = max(abs(c).bit_length() for c, _ in terms) * 30103 // 100000 + 1  # |c| < 10^digits
+    prec = 30
+    while True:
+        with localcontext() as dc:
+            dc.prec = prec
+            turn = 2 * _pi() / n if any(j for _, j in terms) else None  # None: z is rational
+            total = sum((c * _cos(turn * j) if j else Decimal(c) for c, j in terms), Decimal(0))
+            # each term errs by at most 10^(digits + 1 - prec), and so does each partial sum
+            if abs(total).scaleb(-12) > Decimal(len(terms) ** 2).scaleb(digits + 1 - prec):
+                return float(total / z.den)
+        prec *= 2
 
 
 def _load(path: str) -> GraphDocument:
@@ -66,7 +109,7 @@ def command_det(doc: GraphDocument, out) -> int:
     ctx = CyclotomicContext(doc.alpha_order)
     det = det_via_elementary(x, ctx)
     print(
-        f"det = {det.to_polynomial_string()} ({format_real(det.to_complex().real)})",
+        f"det = {det.to_polynomial_string()} ({real_value(det):.10g})",
         file=out,
     )
     return 0
@@ -205,25 +248,77 @@ def coaugmenting_counts(f: GraphFacts) -> bool:
 @_check(lambda f: f.pegs is not None)
 def peg_structure(f: GraphFacts) -> bool:
     """At least two pegs. With more than two, no pair has two co-augmenting
-    paths; with exactly two, each path of such a pair runs over both pegs."""
+    paths; with exactly two, each path of such a pair runs over both pegs, and
+    the two-peg closed form read off its first path is the inverse entry."""
     pegs = set(f.pegs.pegs)
-    bags = f.paths.values()
     if len(pegs) > 2:
-        return all(len(bag) <= 1 for bag in bags)
-    return len(pegs) == 2 and all(
-        pegs <= {(min(u, v), max(u, v)) for u, v in zip(path, path[1:])}
-        for bag in bags
-        if len(bag) == 2
-        for path in bag
+        return all(len(bag) <= 1 for bag in f.paths.values())
+    doubles = [(pair, bag) for pair, bag in f.paths.items() if len(bag) == 2]
+    return (
+        len(pegs) == 2
+        and all(
+            pegs <= {(min(u, v), max(u, v)) for u, v in zip(path, path[1:])}
+            for _, bag in doubles
+            for path in bag
+        )
+        and all(
+            _two_peg_value(f.x, f.ctx, f.pegs.cycle_vertices, bag[0]) == f.inverse.entry(i, j)
+            for (i, j), bag in doubles
+        )
     )
 
 
-@_check(lambda f: f.pegs is not None and f.x.n <= EXHAUSTIVE_CAP)
-def similarity_vs_exhaustive(f: GraphFacts) -> bool:
+def _gf2_solvable(n: int, constraints) -> bool:
+    """Is there an x in GF(2)^n with x_i + x_j = b for every (i, j, b)? A
+    constraint with i == j is refused: it stands for a nonzero diagonal entry,
+    which no sign diagonal clears. Union-find, each vertex holding its parity
+    against its parent."""
+    parent, parity, size = list(range(n)), [0] * n, [1] * n
+
+    def root(v):
+        p = 0
+        while parent[v] != v:
+            p ^= parity[v]
+            v = parent[v]
+        return v, p
+
+    for i, j, b in constraints:
+        if i == j:
+            return False
+        (ri, pi), (rj, pj) = root(i), root(j)
+        if ri == rj:
+            if pi ^ pj != b:
+                return False
+            continue
+        if size[ri] < size[rj]:
+            ri, rj = rj, ri
+        parent[rj], parity[rj] = ri, pi ^ pj ^ b
+        size[ri] += size[rj]
+    return True
+
+
+def _gf2_similar(hinv: ExactHermitianMatrix) -> bool:
+    """Does some +-1 diagonal D make D * hinv * D an adjacency matrix: every
+    entry Zero or a positive power of alpha, and the diagonal zero?"""
+    entries = _signed_entries(hinv)
+    return entries is not None and _gf2_solvable(
+        hinv.dim, ((i, j, kind.sign == -1) for i, j, kind in entries)
+    )
+
+
+@_check(lambda f: f.pegs is not None)
+def similarity_vs_gf2(f: GraphFacts) -> bool:
+    """The classify decision at order 3 is whether the sign constraints
+    d_i d_j = +-1 solve over GF(2); with more than two pegs a Similar
+    certificate's D is the f-walk sign assignment from vertex 0."""
     order3 = f.inverse if f.ctx.order == 3 else _inverse_upm(f.x, CyclotomicContext(3), f.matching)
     verdict = _classify(f.x, f.pegs, order3, 0)
-    found = exhaustive_diag_similarity(order3)
-    return isinstance(verdict, Similar) == (found is not None)
+    solvable = _gf2_similar(order3)
+    if isinstance(verdict, Similar) != solvable:
+        return False
+    if not solvable or len(f.pegs.pegs) <= 2:
+        return True
+    return verdict.signs.signs == sign_assignment(f.x.underlying(), f.matching, 0).signs
 
 
 def run_check(name: str, facts: GraphFacts) -> str:

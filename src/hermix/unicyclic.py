@@ -148,9 +148,14 @@ def two_peg_entry(
         path = paths[0]
     elif tuple(path) not in paths:
         raise InvalidParameter("path is not one of the two co-augmenting paths")
-    path = tuple(path)
+    return _two_peg_value(x, ctx, info.cycle_vertices, tuple(path))
 
-    cyc = info.cycle_vertices
+
+def _two_peg_value(
+    x: MixedGraph, ctx: CyclotomicContext, cyc: tuple[int, ...], path: tuple[int, ...]
+) -> CyclotomicNumber:
+    # the closed form of two_peg_entry; path must be one of the two co-augmenting
+    # paths of its pair and cyc the cycle_vertices of x's pegs
     cyc_set = set(cyc)
     hit = [k for k, v in enumerate(path) if v in cyc_set]
     assert hit == list(range(hit[0], hit[-1] + 1)), "cycle portion must be contiguous"

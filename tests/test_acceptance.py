@@ -22,6 +22,7 @@ from hermix import (
     co_augmenting_paths,
     det_via_elementary,
     ensure_class_h,
+    exhaustive_diag_similarity,
     h_alpha_matrix,
     inverse_bipartite_upm,
     inverse_entry_general,
@@ -246,9 +247,12 @@ def test_criterion_09_similarity_decision_vs_exhaustive():
     outcomes = {"similar": 0}
     ok = True
     for x in graphs:
-        # the decision against exhaustive search; the certificate and tallies here
-        ok = ok and passes(cli.GraphFacts(x, ctx), "similarity_vs_exhaustive")
+        # the decision against GF(2) and against exhaustive search; the
+        # certificate and tallies here
+        ok = ok and passes(cli.GraphFacts(x, ctx), "similarity_vs_gf2")
         verdict = classify_gamma_similarity(x)
+        found = exhaustive_diag_similarity(inverse_bipartite_upm(x, ctx))
+        ok = ok and isinstance(verdict, Similar) == (found is not None)
         if isinstance(verdict, Similar):
             outcomes["similar"] += 1
             ok = ok and verdict.conjugated == h_alpha_matrix(verdict.graph, ctx)

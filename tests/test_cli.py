@@ -2,13 +2,17 @@ import copy
 import hashlib
 import importlib
 import io
+import itertools
 import json
+import math
 import os
+import random
 import shutil
 import subprocess
 import sys
 import tempfile
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -22,15 +26,20 @@ import hermix.unicyclic as unicyclic
 from hermix import (
     CyclotomicContext,
     CyclotomicNumber,
+    DiagonalSigns,
     ExactHermitianMatrix,
     GenerationFailed,
     GraphDocument,
     InternalCheckFailed,
     InvalidParameter,
+    NotSimilar,
+    Obstruction,
     ParseError,
+    Similar,
     co_augmenting_paths,
     ensure_class_h,
     enumerate_paths,
+    exhaustive_diag_similarity,
     generate_instance,
     parse_graph,
     render_document,
@@ -39,9 +48,16 @@ from hermix import (
 from hermix.documents import MAX_VERTICES
 from hermix.inverse import _inverse_upm, orient_nonmatching
 from hermix.spectral import LEIBNIZ_CAP, det_via_elementary
-from hermix.unicyclic import EXHAUSTIVE_CAP
 
-from conftest import DATA, cli_cases, disjoint_triangles, triangular_graph
+from conftest import (
+    DATA,
+    c4_four_pendants,
+    c6_two_pendants,
+    cli_cases,
+    disjoint_triangles,
+    h_corpus,
+    triangular_graph,
+)
 
 PYPROJECT = Path(__file__).parents[1] / "pyproject.toml"
 
@@ -61,19 +77,16 @@ def test_det_desk_output():
 
 def test_det_prints_a_real_approximation(tmp_path):
     # 20 disjoint 5-cycles, each with one arc, at order 5: each cycle is worth
-    # 2 cos(2 pi / 5) = 1 / phi, so det = phi^-20 exactly, a real number whose
-    # float value from the power basis carries an imaginary rounding residue
+    # 2 cos(2 pi / 5) = 1 / phi, so det = phi^-20 exactly
     digons = [[5 * t + a, 5 * t + a + 1] for t in range(20) for a in range(4)]
     arcs = [[5 * t, 5 * t + 4] for t in range(20)]
     doc = tmp_path / "pentagons.json"
     doc.write_text(json.dumps({"n": 100, "digons": digons, "arcs": arcs, "alpha_order": 5}))
-    code, out, err = run_cli(["det", str(doc)])
-    assert code == 0 and err == ""
-    approx = out.rstrip("\n").rpartition(" (")[2]
-    assert approx.endswith(")") and "i" not in approx
-    # the digits depend on the platform's libm, so only the value is pinned
-    phi = (1 + 5 ** 0.5) / 2
-    assert float(approx[:-1]) == pytest.approx(phi**-20, rel=1e-6)
+    # phi^-20 = 6.6106961351...e-05; summed in floats the power basis printed
+    # 6.610696073e-05, the sum cancelling ten digits of 10946
+    assert run_cli(["det", str(doc)]) == (
+        0, "det = 10946 + 6765a^2 + 6765a^3 (6.610696135e-05)\n", ""
+    )
 
 
 def test_det_missing_file_exit_2(tmp_path):
@@ -118,7 +131,7 @@ def test_classify_requires_order_3(tmp_path):
     # check keeps running its order-3 similarity check on any document
     code, out, _ = run_cli(["check", str(target)])
     assert code == 0
-    assert "similarity_vs_exhaustive: pass" in out.splitlines()
+    assert "similarity_vs_gf2: pass" in out.splitlines()
 
 
 def test_classify_tree_exit_2():
@@ -368,23 +381,97 @@ def test_check_skips_outside_class(tmp_path):
     assert lines["inverse_identity"] == "skip"
     assert lines["coaugmenting_counts"] == "skip"
     assert lines["peg_structure"] == "skip"
-    assert lines["similarity_vs_exhaustive"] == "skip"
+    assert lines["similarity_vs_gf2"] == "skip"
 
 
 def test_check_skips_above_oracle_caps(tmp_path):
-    # each exponential oracle runs up to its fixed cap and skips beyond it
-    assert (LEIBNIZ_CAP, EXHAUSTIVE_CAP) == (10, 16)
+    # the exponential Leibniz oracle runs up to its fixed cap and skips beyond
+    # it; the GF(2) similarity check has no cap
+    assert LEIBNIZ_CAP == 10
     for check, n, status in (
         ("det_elementary_vs_leibniz", 10, "pass"),
         ("det_elementary_vs_leibniz", 12, "skip"),
-        ("similarity_vs_exhaustive", 16, "pass"),
-        ("similarity_vs_exhaustive", 18, "skip"),
+        ("similarity_vs_gf2", 16, "pass"),
+        ("similarity_vs_gf2", 18, "pass"),
+        ("similarity_vs_gf2", 20, "pass"),
     ):
         doc = tmp_path / f"u{n}.json"
         doc.write_text(render_document(generate_instance(3, n, unicyclic=True)))
         code, out, _ = run_cli(["check", str(doc)])
         assert code == 0
         assert f"{check}: {status}" in out.splitlines()
+
+
+def test_gf2_solver():
+    # x_i + x_j = b: round a triangle of -1 signs (b = 1) the sum is odd
+    assert not cli._gf2_solvable(3, [(0, 1, 1), (1, 2, 1), (0, 2, 1)])
+    assert cli._gf2_solvable(3, [(0, 1, 1), (1, 2, 1), (0, 2, 0)])
+    # a nonzero diagonal entry is refused, whatever its sign
+    assert not cli._gf2_solvable(3, [(0, 1, 0), (1, 1, 0)])
+    assert not cli._gf2_solvable(3, [(2, 2, 1)])
+    # against every assignment, with components merged in both size orders
+    rng = random.Random(5)
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        cons = [
+            (rng.randrange(n), rng.randrange(n), rng.randint(0, 1))
+            for _ in range(rng.randint(0, 8))
+        ]
+        brute = any(
+            all(i != j and x[i] ^ x[j] == b for i, j, b in cons)
+            for x in itertools.product((0, 1), repeat=n)
+        )
+        assert cli._gf2_solvable(n, cons) == brute, (n, cons)
+
+
+def test_similarity_check_agrees_with_exhaustive_search():
+    # the GF(2) decision against the 2^(n-1) sweep, at orders 2-6 (the check
+    # builds the order-3 inverse itself away from order 3)
+    seen = set()
+    for k, doc in enumerate(h_corpus(60, sizes=(6, 8, 10, 12, 14, 16), unicyclic=True, seed0=7000)):
+        facts = cli.GraphFacts(doc.to_graph(), CyclotomicContext(2 + k % 5))
+        assert cli.run_check("similarity_vs_gf2", facts) == "pass"
+        order3 = _inverse_upm(facts.x, CyclotomicContext(3), facts.matching)
+        similar = cli._gf2_similar(order3)
+        assert similar == (exhaustive_diag_similarity(order3) is not None)
+        seen.add((similar, len(facts.pegs.pegs) > 2))
+    assert seen == {(False, False), (False, True), (True, False), (True, True)}
+
+
+def test_similarity_check_fails_on_a_wrong_verdict_or_diagonal(monkeypatch):
+    ctx = CyclotomicContext(3)
+    many_pegs = cli.GraphFacts(c4_four_pendants(), ctx)  # four pegs, Similar
+    two_pegs = cli.GraphFacts(c6_two_pendants(), ctx)  # NotSimilar
+    for facts in (many_pegs, two_pegs):
+        assert cli.run_check("similarity_vs_gf2", facts) == "pass"
+    classify = cli._classify
+
+    def flipped(x, info, hinv, basepoint):
+        if isinstance(classify(x, info, hinv, basepoint), Similar):
+            return NotSimilar(Obstruction.ODD_PARITY)
+        return Similar(DiagonalSigns((1,) * x.n, basepoint), x, hinv)
+
+    monkeypatch.setattr(cli, "_classify", flipped)
+    for facts in (many_pegs, two_pegs):
+        assert cli.run_check("similarity_vs_gf2", facts) == "fail"
+    monkeypatch.undo()
+    signs = cli.sign_assignment
+
+    def one_flipped(g, m, basepoint):
+        d = signs(g, m, basepoint)
+        return DiagonalSigns((*d.signs[:-1], -d.signs[-1]), d.basepoint)
+
+    monkeypatch.setattr(cli, "sign_assignment", one_flipped)
+    assert cli.run_check("similarity_vs_gf2", many_pegs) == "fail"
+
+
+def test_peg_structure_fails_on_a_wrong_two_peg_value(monkeypatch):
+    facts = cli.GraphFacts(c6_two_pendants(), CyclotomicContext(3))
+    assert any(len(bag) == 2 for bag in facts.paths.values())
+    assert cli.run_check("peg_structure", facts) == "pass"
+    value = cli._two_peg_value
+    monkeypatch.setattr(cli, "_two_peg_value", lambda *args: value(*args) + 1)
+    assert cli.run_check("peg_structure", facts) == "fail"
 
 
 def test_gen_is_deterministic(tmp_path):
@@ -428,12 +515,29 @@ def test_gen_odd_order_exit_2(tmp_path):
     assert "InvalidParameter" in err
 
 
-def test_format_real_rendering():
-    assert cli.format_real(-1.0) == "-1"
-    assert cli.format_real(1e-14) == "0"
-    assert cli.format_real(-1e-14) == "0"
-    assert cli.format_real(-0.0) == "0"
-    assert cli.format_real(0.5) == "0.5"
+def test_real_value_rendering():
+    # exactly zero is 0, never -0; a real part that cancels all but 1e-25 of
+    # its terms keeps its digits; beyond the float range it is +-inf
+    ctx4, ctx5 = CyclotomicContext(4), CyclotomicContext(5)
+    assert f"{cli.real_value(ctx5.zero()):.10g}" == "0"
+    assert f"{cli.real_value(-ctx4.root_power(1)):.10g}" == "0"  # -i
+    assert f"{cli.real_value(ctx5.from_rational(-1)):.10g}" == "-1"
+    assert f"{cli.real_value(ctx5.from_rational(Fraction(1, 2))):.10g}" == "0.5"
+    # phi^-120 = F(121) - F(120) phi, with -phi = a^2 + a^3 at order 5
+    fib = [0, 1]
+    while len(fib) < 122:
+        fib.append(fib[-1] + fib[-2])
+    tiny = CyclotomicNumber(ctx5, [fib[121], 0, fib[120], fib[120]])
+    assert f"{cli.real_value(tiny):.10g}" == "8.346092045e-26"
+    huge = CyclotomicNumber(ctx5, [2**1100, 0, 1, 1])
+    assert (cli.real_value(huge), cli.real_value(-huge)) == (math.inf, -math.inf)
+    # everywhere else it is the float sum of the power basis, to rounding
+    rng = random.Random(1)
+    for order in (2, 3, 4, 5, 6, 7, 12, 97):
+        ctx = CyclotomicContext(order)
+        for _ in range(20):
+            z = CyclotomicNumber(ctx, [rng.randint(-9, 9) for _ in range(ctx.degree)])
+            assert cli.real_value(z) == pytest.approx(z.to_complex().real, rel=1e-12, abs=1e-12)
 
 
 def test_parse_error_details():
