@@ -46,11 +46,13 @@ from hermix import (
     unique_cycle,
 )
 from hermix.documents import MAX_VERTICES
-from hermix.inverse import _inverse_upm, orient_nonmatching
+from hermix.graph import simple_paths
+from hermix.inverse import _adjugate_row, _inverse_upm, orient_nonmatching
 from hermix.spectral import LEIBNIZ_CAP, det_via_elementary
 
 from conftest import (
     DATA,
+    DESK_NAMES,
     c4_four_pendants,
     c6_two_pendants,
     cli_cases,
@@ -273,15 +275,32 @@ def test_paths_listed_only_where_read(monkeypatch):
         assert (argv, code, len(calls)) == (argv, 0, count)
 
 
+def bare_vertices(x, path) -> set:
+    """The vertices off the path whose neighbours are all on it: each leaves a
+    zero row in H - V(path)."""
+    on = set(path)
+    return {v for v in range(x.n) if v not in on and on.issuperset(x.adjacency[v])}
+
+
+def minor_can_be_nonzero(x, path) -> bool:
+    """Check 7's filter read directly: in a bipartite graph det(H - V(P)) is
+    zero at an odd vertex count, and at a bare vertex."""
+    return not len(path) % 2 and not bare_vertices(x, path)
+
+
 def test_check_computes_shared_facts_once(monkeypatch, tmp_path):
     # one full determinant, no field inverse and one order-3 inverse per call,
     # whether the document's own inverse is the order-3 one or not; and one
-    # adjugate minor per distinct vertex set of a path
+    # adjugate minor per distinct vertex set of a path whose minor can be nonzero
     full_dets, inverses, order3, minors = [], [], [], []
     doc = parse_graph((DATA / "c6_two_pendants.json").read_text())
     x = doc.to_graph()
     path_sets = {
-        frozenset(p) for i in range(x.n) for j in range(i + 1, x.n) for p in enumerate_paths(x, i, j)
+        frozenset(p)
+        for i in range(x.n)
+        for j in range(i + 1, x.n)
+        for p in enumerate_paths(x, i, j)
+        if minor_can_be_nonzero(x, p)
     }
 
     def det_counted(g, ctx, drop=()):
@@ -338,6 +357,73 @@ def test_general_formula_check_fails_on_altered_facts():
     altered = copy.copy(facts)
     altered.det = -facts.det
     assert cli.run_check("inverse_vs_general_formula", altered) == "fail"
+
+
+def test_general_formula_check_reads_the_paths_whose_minor_can_be_nonzero(monkeypatch):
+    # check 7 walks below a path P only while some longer path can have a nonzero
+    # minor: no bare vertex, or one bare vertex next to P's end, which ends the walk;
+    # it takes the minor of exactly the paths the filter keeps, and every path of
+    # the full walk it leaves out has a zero minor
+    docs = [parse_graph((DATA / f"{name}.json").read_text()) for name in DESK_NAMES]
+    graphs = [(doc.to_graph(), doc.alpha_order) for doc in docs]
+    for unicyclic, seed0 in ((False, 300), (True, 400)):
+        for doc in h_corpus(24, sizes=(6, 8, 10, 12), unicyclic=unicyclic, seed0=seed0):
+            graphs.append((doc.to_graph(), 2 + len(graphs) % 5))
+    graphs += [(triangular_graph(k, s), 3) for k in range(1, 7) for s in (1, 2)]
+    walks, taken = [], []
+
+    def spy_paths(adj, start, target, blocked):
+        for path in simple_paths(adj, start, target, blocked):
+            walks.append(path)
+            yield path
+
+    def spy_row(x, ctx, paths, minors):
+        paths = list(paths)
+        taken.extend(paths)
+        return _adjugate_row(x, ctx, paths, minors)
+
+    monkeypatch.setattr(cli, "simple_paths", spy_paths)
+    monkeypatch.setattr(cli, "_adjugate_row", spy_row)
+    through_single_exit = 0
+    for x, order in graphs:
+        ctx, minors = CyclotomicContext(order), {}
+
+        def minor_is_zero(path):
+            key = frozenset(path)
+            if key not in minors:
+                minors[key] = det_via_elementary(x, ctx, path).is_zero()
+            return minors[key]
+
+        walks.clear()
+        taken.clear()
+        assert cli.run_check("inverse_vs_general_formula", cli.GraphFacts(x, ctx)) == "pass"
+        full = [p for i in range(x.n) for p in simple_paths(x.adjacency, i, None, bytearray(x.n))]
+        walked = []
+        for p in full:
+            # the bare vertices under each proper prefix, from the start vertex on
+            bare = [bare_vertices(x, p[:k]) for k in range(1, len(p))]
+            if all(not b or (b == {p[-1]} and k == len(p) - 2) for k, b in enumerate(bare)):
+                walked.append(p)
+                # entered by the single exit to a bare vertex, with a nonzero minor
+                through_single_exit += bool(bare[-1]) and not minor_is_zero(p)
+        assert walks == walked
+        assert taken == [p for p in full if minor_can_be_nonzero(x, p)]
+        assert all(minor_is_zero(p) for p in set(full) - set(taken))
+    # P4's path 0, 1, 2, 3 is one: under 0, 1, 2 vertex 3 is bare
+    assert through_single_exit > 0
+
+
+def test_check_on_dense_triangular_documents(tmp_path):
+    # triangular_graph(9, 1) has 16,479,072 ordered simple paths; check 7 walks
+    # 284,236 of them, below which a minor can be nonzero, and ends in about a second
+    for seed in (1, 2):
+        x = triangular_graph(9, seed)
+        doc = tmp_path / f"triangular9_{seed}.json"
+        doc.write_text(
+            render_document(GraphDocument(x.n, tuple(x.digons), tuple(x.arcs), alpha_order=3))
+        )
+        code, out, err = run_cli(["check", str(doc)])
+        assert (code, err, out.splitlines()[-1]) == (0, "", "result: ok (10 checks)")
 
 
 def test_check_reports_a_failing_check(monkeypatch):
