@@ -103,6 +103,21 @@ class CyclotomicContext:
         """alpha^k, reduced into the power basis. k may be any integer."""
         return self._roots[k % self.order]
 
+    def _power_sum(self, terms, den: int = 1) -> "CyclotomicNumber":
+        """The sum of c * alpha^e / den over the (e, c) pairs, 0 <= e < order;
+        the caller knows the result to be in lowest terms over ``den``."""
+        d = self.degree
+        out = [0] * d
+        powers = self._powers
+        for e, c in terms:
+            if e < d:  # alpha^e is a basis element
+                out[e] += c
+            elif c:
+                for i, r in enumerate(powers[e]):
+                    if r:
+                        out[i] += c * r
+        return _raw(self, tuple(out), den)
+
     def from_rational(self, q) -> "CyclotomicNumber":
         if not isinstance(q, int):
             q = Fraction(q)
@@ -234,17 +249,10 @@ class CyclotomicNumber:
 
     def _galois(self, k: int) -> "CyclotomicNumber":
         """The field automorphism alpha -> alpha^k, for 0 < k < order prime to it."""
-        ctx = self.ctx
-        n = ctx.order
-        out = [0] * ctx.degree
-        for i, c in enumerate(self.nums):
-            if c:
-                for j, r in enumerate(ctx._powers[i * k % n]):
-                    if r:
-                        out[j] += c * r
+        n = self.ctx.order
         # an automorphism maps Z[alpha] onto itself, so it keeps the gcd of
         # the numerators and the result needs no reduction
-        return _raw(ctx, tuple(out), self.den)
+        return self.ctx._power_sum(((i * k % n, c) for i, c in enumerate(self.nums)), self.den)
 
     # -- predicates / conversion ---------------------------------------------
 

@@ -6,10 +6,14 @@ path value times the minor the path's vertex set leaves behind. Rows of those su
 one table of minors and keep nonzero entries only, the row convention of ``ExactHermitianMatrix``.
 ``inverse_bipartite_upm`` covers bipartite graphs with a unique perfect
 matching, where entry (i, j) is a signed sum over co-augmenting i..j paths;
-one recurrence builds it, listing no path, in O(n * |E|) field operations.
+one recurrence builds it, listing no path. Each path value is a power of alpha,
+so the recurrence runs on integer coefficient vectors, where a step is a
+rotation plus a negation, and each distinct value is reduced into Q(alpha) once.
 """
 
 from __future__ import annotations
+
+from operator import add
 
 from .cyclotomic import CyclotomicContext, CyclotomicNumber
 from .errors import HasArcs, InvalidParameter, NotPerfect, SameVertex, SingularMatrix
@@ -61,8 +65,14 @@ def _inverse_upm(x: MixedGraph, ctx: CyclotomicContext, m: Matching) -> ExactHer
     # m must be the certified unique perfect matching of x. Row m(i) of H * H^-1 = I gives
     #   row(i) = h(i, m(i)) * (e_m(i) - sum over u ~ m(i), u != i, of h(m(i), u) * row(u));
     # with no alternating cycle the steps i -> u never return: a stack orders the rows.
+    # Each h is a power of alpha, so the rows are built in the group ring Z[t]/(t^n - 1),
+    # n = ctx.order, an entry being its n integer coefficients: times -t^k is a rotation
+    # and a negation. The ring map t -> alpha then reduces each distinct entry once.
+    n = ctx.order
     adj, partner = x.adjacency, m.partner
-    rows: list[dict[int, CyclotomicNumber] | None] = [None] * x.n
+    rows: list[dict[int, tuple[int, ...]] | None] = [None] * x.n
+    one = (1,) + (0,) * (n - 1)
+    turned: dict[int, dict] = {}  # turned[k][v] is -t^k * v: v rotated right by k, negated
     stack = list(range(x.n))
     while stack:
         i = stack.pop()
@@ -73,15 +83,21 @@ def _inverse_upm(x: MixedGraph, ctx: CyclotomicContext, m: Matching) -> ExactHer
         if todo:
             stack += [i, *todo]
             continue
-        e = adj[i][mate]
-        row = {mate: ctx.root_power(e)}
+        e = adj[i][mate] % n
+        row = {mate: one[n - e:] + one[:n - e]}  # t^e
         for u, f in adj[mate].items():
             if u != i:
-                c = -ctx.root_power(e + f)
+                k = (e + f) % n
+                turn = turned.setdefault(k, {})
                 for j, v in rows[u].items():
-                    row[j] = row[j] + c * v if j in row else c * v
-        rows[i] = {j: v for j, v in row.items() if not v.is_zero()}
-    return ExactHermitianMatrix(ctx, rows)
+                    w = turn.get(v)
+                    if w is None:
+                        w = turn[v] = tuple(-c for c in v[n - k:] + v[:n - k])
+                    row[j] = tuple(map(add, row[j], w)) if j in row else w
+        rows[i] = row
+    value = {v: ctx._power_sum(enumerate(v)) for v in {v for row in rows for v in row.values()}}
+    # the constructor drops the entries that reduce to zero
+    return ExactHermitianMatrix(ctx, [{j: value[v] for j, v in row.items()} for row in rows])
 
 
 def orient_nonmatching(g: MixedGraph, m: Matching) -> MixedGraph:

@@ -28,20 +28,24 @@ class ExactHermitianMatrix:
 
     def __init__(self, ctx: CyclotomicContext, rows):
         rows = tuple(rows)
-        if any(a.ctx.order != ctx.order for row in rows for a in row.values()):
+        # each distinct entry object is checked once: its field, whether it is
+        # zero, and its conjugate
+        distinct = {id(a): a for row in rows for a in row.values()}
+        if any(a.ctx.order != ctx.order for a in distinct.values()):
             raise ContextMismatch("entry from a different cyclotomic field")
         cols = range(len(rows))
         if any(j not in cols for row in rows for j in row):
             raise ValueError(f"column outside 0..{len(rows) - 1}")
         self.ctx, self.dim = ctx, len(rows)
-        self.rows = tuple({j: a for j, a in row.items() if not a.is_zero()} for row in rows)
+        mirror = {key: a.conj() for key, a in distinct.items() if not a.is_zero()}
+        self.rows = tuple({j: a for j, a in row.items() if id(a) in mirror} for row in rows)
         # every stored (i, j) needs its conjugate stored at (j, i); a fault is
         # reported at the first pair i <= j in row-major order
         faults = [
             (min(i, j), max(i, j))
             for i, row in enumerate(self.rows)
             for j, a in row.items()
-            if self.rows[j].get(i) != a.conj()
+            if self.rows[j].get(i) != mirror[id(a)]
         ]
         if faults:
             raise ValueError(f"not hermitian at {min(faults)}")
@@ -71,8 +75,11 @@ class ExactHermitianMatrix:
         """D * M * D for a +-1 diagonal D."""
         if len(signs) != self.dim or any(s not in (1, -1) for s in signs):
             raise ValueError("signs must be +-1 of matching length")
+        # each distinct entry is negated once, so the result shares its values
+        distinct = {id(a): a for row in self.rows for a in row.values()}
+        negated = {key: -a for key, a in distinct.items()}
         rows = [
-            {j: a if s == signs[j] else -a for j, a in row.items()}
+            {j: a if s == signs[j] else negated[id(a)] for j, a in row.items()}
             for s, row in zip(signs, self.rows)
         ]
         return ExactHermitianMatrix(self.ctx, rows)

@@ -71,6 +71,13 @@ def test_all_roots_sum_to_zero():
         assert total.is_zero()
 
 
+def test_power_sum_folds_one_plus_alpha_plus_alpha_squared_to_zero():
+    # the map Z[x]/(x^3 - 1) -> Q(alpha) that the class-H inverse reduces through
+    ctx = CyclotomicContext(3)
+    assert ctx._power_sum([(0, 1), (1, 1), (2, 1)]) == ctx.zero()
+    assert ctx._power_sum([(2, 3)], den=2) == ctx.root_power(2) * Fraction(3, 2)
+
+
 orders = st.sampled_from([2, 3, 4, 5, 6, 10, 12])
 
 

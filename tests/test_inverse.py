@@ -93,7 +93,8 @@ def test_recurrence_matches_path_sum_oracle():
             for j in range(x.n)
             if i != j
         }
-        for order in (2, 3, 4, 6):
+        # degree 1 (orders 1, 2), phi(n) < n - 1 (4, 6, 8, 12), and composite orders
+        for order in (1, 2, 3, 4, 5, 6, 8, 12):
             ctx = CyclotomicContext(order)
             inv = inverse_bipartite_upm(x, ctx)
             for i in range(x.n):

@@ -121,6 +121,18 @@ def test_matrix_check_names_first_fault_in_row_major_order():
         ExactHermitianMatrix(ctx, h)
 
 
+def test_matrix_check_compares_every_pair_of_a_shared_entry():
+    # one object at (0, 1) and (0, 2): its mirror is right at (1, 0) and
+    # wrong at (2, 0), so checking the object once is not enough
+    ctx = CyclotomicContext(3)
+    a = ctx.root_power(1)
+    rows = [{1: a, 2: a}, {0: a.conj()}, {0: a}]
+    with pytest.raises(ValueError, match=r"not hermitian at \(0, 2\)$"):
+        ExactHermitianMatrix(ctx, rows)
+    rows[2][0] = a.conj()
+    assert ExactHermitianMatrix(ctx, rows).entry(2, 0) == ctx.root_power(2)
+
+
 @given(st.data())
 def test_matrix_check_matches_pairwise_rule(data):
     ctx = CyclotomicContext(data.draw(st.sampled_from((2, 3, 4))))
@@ -142,6 +154,12 @@ def test_matrix_check_matches_pairwise_rule(data):
     place = st.integers(0, dim - 1)
     for _ in range(data.draw(st.integers(0, 2))):
         rows[data.draw(place)][data.draw(place)] = pool[data.draw(pick)]
+    # the constructor checks each distinct object once: place each entry as
+    # the pool object or as an equal, distinct copy
+    for row in rows:
+        for j, a in enumerate(row):
+            if data.draw(st.booleans()):
+                row[j] = -(-a)
     fault = first_pairwise_failure(rows)
     if fault is None:
         assert dense(ExactHermitianMatrix(ctx, sparse(rows))) == rows
