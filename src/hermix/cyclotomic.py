@@ -318,6 +318,52 @@ class CyclotomicNumber:
         return text
 
 
+def _pi() -> decimal.Decimal:
+    """pi at the context's precision: 3 plus t_1 + t_2 + ..., t_0 = 3 and
+    t_k = t_(k-1) (2k - 1)^2 / (8k (2k + 1)), six times the arcsine series at 1/2."""
+    with decimal.localcontext() as dc:
+        dc.prec += 2
+        pi, last, term, k = decimal.Decimal(3), None, decimal.Decimal(3), 0
+        while pi != last:
+            last, k = pi, k + 1
+            term = term * (2 * k - 1) ** 2 / (8 * k * (2 * k + 1))
+            pi += term
+    return +pi
+
+
+def _cos(x: decimal.Decimal) -> decimal.Decimal:
+    """cos(x) for |x| <= pi at the context's precision, by its Taylor series."""
+    with decimal.localcontext() as dc:
+        dc.prec += 2
+        total, last, term, k = decimal.Decimal(1), None, decimal.Decimal(1), 0
+        while total != last:
+            last, k = total, k + 2
+            term = -term * x * x / (k * (k - 1))
+            total += term
+    return +total
+
+
+def real_value(z: CyclotomicNumber) -> float:
+    """Re(z) rounded to a float: the power basis summed in decimal at a
+    precision doubled from 30 digits until the sum is 1e12 times its error
+    bound. 0 when Re(z) is exactly zero, +-inf beyond the float range."""
+    if (z + z.conj()).is_zero():
+        return 0.0
+    n = z.ctx.order
+    terms = [(c, min(k, n - k)) for k, c in enumerate(z.nums) if c]
+    digits = max(abs(c).bit_length() for c, _ in terms) * 30103 // 100000 + 1  # |c| < 10^digits
+    prec = 30
+    while True:
+        with decimal.localcontext() as dc:
+            dc.prec = prec
+            turn = 2 * _pi() / n if any(j for _, j in terms) else None  # None: z is rational
+            total = sum(c * _cos(turn * j) if j else decimal.Decimal(c) for c, j in terms)
+            # each term errs by at most 10^(digits + 1 - prec), and so does each partial sum
+            if abs(total).scaleb(-12) > decimal.Decimal(len(terms) ** 2).scaleb(digits + 1 - prec):
+                return float(total / z.den)
+        prec *= 2
+
+
 def _decimal(m: int) -> str:
     """The decimal digits of ``m`` >= 0, also past int()'s digit limit."""
     try:

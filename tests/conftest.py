@@ -4,11 +4,12 @@ The oracles re-derive answers by exhaustive enumeration with none of the
 library's pruning, so agreement is meaningful: perfect matchings by direct
 recursion, simple paths via networkx, elementary subgraphs by scanning every
 edge subset, and on larger graphs by the plain lowest-vertex search with no
-forced edges. The matching, alternating-cycle, co-augmenting, peg and
-canonical-cycle helpers below exist only for the tests; the package has none.
-The cyclotomic references redo field arithmetic on Fraction coordinates and
-sort entries by scanning every signed root power. The CLI table at the end
-states, once, every command line whose whole outcome the suite pins.
+forced edges. The matching, alternating-cycle, co-augmenting, peg,
+bare-vertex and canonical-cycle helpers below exist only for the tests; the
+package has none. The cyclotomic references redo field arithmetic on Fraction
+coordinates and sort entries by scanning every signed root power. The CLI
+table at the end states, once, every command line whose whole outcome the
+suite pins.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from pathlib import Path
 import networkx as nx
 from hypothesis import settings
 
-import hermix.cli as cli
+import hermix.checks as checks
 from hermix import (
     OTHER,
     ZERO,
@@ -233,6 +234,19 @@ def pegs_oracle(x: MixedGraph, m: Matching) -> tuple[tuple[int, int], ...]:
     the cycle, sorted."""
     on_cycle = set(unique_cycle(x))
     return tuple(sorted(e for e in m.edges if (e[0] in on_cycle) != (e[1] in on_cycle)))
+
+
+def bare_vertices(x, path) -> set:
+    """The vertices off the path whose neighbours are all on it: each leaves a
+    zero row in H - V(path)."""
+    on = set(path)
+    return {v for v in range(x.n) if v not in on and on.issuperset(x.adjacency[v])}
+
+
+def minor_can_be_nonzero(x, path) -> bool:
+    """Check 7's filter read directly: in a bipartite graph det(H - V(P)) is
+    zero at an odd vertex count, and at a bare vertex."""
+    return not len(path) % 2 and not bare_vertices(x, path)
 
 
 def canonical_cycle(vertices) -> tuple[int, ...]:
@@ -650,7 +664,7 @@ def cli_cases(tmp: Path) -> list[CliCase]:
         CliCase(
             "check_triangles30",
             ("check", disjoint_triangles(tmp, 30)),
-            transcript(0, f"result: ok ({len(cli.CHECKS)} checks)\n", ""),
+            transcript(0, f"result: ok ({len(checks.CHECKS)} checks)\n", ""),
             tail=True,
         )
     )

@@ -10,6 +10,7 @@ import io
 import random
 import time
 
+import hermix.checks as checks
 import hermix.cli as cli
 from hermix import (
     CyclotomicContext,
@@ -53,9 +54,9 @@ def report(number: int, label: str, ok: bool) -> None:
     assert ok, line
 
 
-def passes(facts: cli.GraphFacts, *names: str) -> bool:
+def passes(facts: checks.GraphFacts, *names: str) -> bool:
     """Do these checks of `hermix check` all run, none skipped, and pass?"""
-    return all(cli.run_check(name, facts) == "pass" for name in names)
+    return all(checks.run_check(name, facts) == "pass" for name in names)
 
 
 def test_criterion_01_determinant_triple_agreement():
@@ -65,7 +66,7 @@ def test_criterion_01_determinant_triple_agreement():
     ok = True
     for x in graphs:
         for order in (2, 3, 4, 10):
-            facts = cli.GraphFacts(x, CyclotomicContext(order))
+            facts = checks.GraphFacts(x, CyclotomicContext(order))
             ok = ok and passes(facts, "det_elementary_vs_leibniz", "det_elementary_vs_numeric")
     elapsed = time.monotonic() - started
     ok = ok and elapsed <= 60.0
@@ -83,7 +84,7 @@ def test_criterion_02_class_determinant_law():
     ctx = CyclotomicContext(3)
     ok = True
     for doc in _exactness_corpus():
-        ok = ok and passes(cli.GraphFacts(doc.to_graph(), ctx), "det_sign_law")
+        ok = ok and passes(checks.GraphFacts(doc.to_graph(), ctx), "det_sign_law")
     # eight-vertex desk instance whose determinant is exactly 1
     ctx10 = CyclotomicContext(10)
     ok = ok and det_via_elementary(pentagon_tail(), ctx10) == ctx10.one()
@@ -94,7 +95,7 @@ def test_criterion_03_inverse_exactness():
     ctx = CyclotomicContext(3)
     ok = True
     for doc in _exactness_corpus():
-        facts = cli.GraphFacts(doc.to_graph(), ctx)
+        facts = checks.GraphFacts(doc.to_graph(), ctx)
         ok = ok and passes(facts, "inverse_identity", "inverse_zero_diagonal", "inverse_vs_numeric")
     report(3, "exact inverse * H = I, zero diagonal, numeric agreement <= 1e-9", ok)
 
@@ -139,7 +140,7 @@ def test_criterion_05_path_count_triple_agreement():
     docs += h_corpus(50, sizes=(6, 8, 10, 12), unicyclic=True, seed0=1600)
     ok = len(docs) == 100
     for doc in docs:
-        facts = cli.GraphFacts(doc.to_graph().underlying(), ctx2)
+        facts = checks.GraphFacts(doc.to_graph().underlying(), ctx2)
         ok = ok and passes(facts, "coaugmenting_counts")
         g, m = facts.x, facts.matching
         ok = ok and all(
@@ -189,7 +190,7 @@ def test_criterion_07_peg_path_structure():
     while len(graphs) < 100:
         graphs.append(two_peg_instance(3, 3, 9000 + len(graphs)))
     ctx = CyclotomicContext(3)
-    failing = sum(not passes(cli.GraphFacts(x, ctx), "peg_structure") for x in graphs[:100])
+    failing = sum(not passes(checks.GraphFacts(x, ctx), "peg_structure") for x in graphs[:100])
     report(7, f"peg structure on 100 unicyclic instances ({failing} failing)", failing == 0)
 
 
@@ -249,7 +250,7 @@ def test_criterion_09_similarity_decision_vs_exhaustive():
     for x in graphs:
         # the decision against GF(2) and against exhaustive search; the
         # certificate and tallies here
-        ok = ok and passes(cli.GraphFacts(x, ctx), "similarity_vs_gf2")
+        ok = ok and passes(checks.GraphFacts(x, ctx), "similarity_vs_gf2")
         verdict = classify_gamma_similarity(x)
         found = exhaustive_diag_similarity(inverse_bipartite_upm(x, ctx))
         ok = ok and isinstance(verdict, Similar) == (found is not None)

@@ -28,6 +28,7 @@ from hermix import (
     classify_entry,
     cyclotomic_polynomial,
 )
+from hermix.cyclotomic import real_value
 
 
 def test_cyclotomic_polynomial_small_orders():
@@ -155,6 +156,31 @@ def test_complex_embedding_beyond_the_float_range():
         assert (big * (a - a.conj())).to_complex() == complex(0.0, imag)  # 2i Im(a) big
     assert (CyclotomicContext(3).root_power(1) * 2**1100).to_complex() == complex(-inf, inf)
     assert CyclotomicContext(3).from_rational(2**1023).to_complex() == complex(2.0**1023)
+
+
+def test_real_value_rendering():
+    # exactly zero is 0, never -0; a real part that cancels all but 1e-25 of
+    # its terms keeps its digits; beyond the float range it is +-inf
+    ctx4, ctx5 = CyclotomicContext(4), CyclotomicContext(5)
+    assert f"{real_value(ctx5.zero()):.10g}" == "0"
+    assert f"{real_value(-ctx4.root_power(1)):.10g}" == "0"  # -i
+    assert f"{real_value(ctx5.from_rational(-1)):.10g}" == "-1"
+    assert f"{real_value(ctx5.from_rational(Fraction(1, 2))):.10g}" == "0.5"
+    # phi^-120 = F(121) - F(120) phi, with -phi = a^2 + a^3 at order 5
+    fib = [0, 1]
+    while len(fib) < 122:
+        fib.append(fib[-1] + fib[-2])
+    tiny = CyclotomicNumber(ctx5, [fib[121], 0, fib[120], fib[120]])
+    assert f"{real_value(tiny):.10g}" == "8.346092045e-26"
+    huge = CyclotomicNumber(ctx5, [2**1100, 0, 1, 1])
+    assert (real_value(huge), real_value(-huge)) == (math.inf, -math.inf)
+    # everywhere else it is the float sum of the power basis, to rounding
+    rng = random.Random(1)
+    for order in (2, 3, 4, 5, 6, 7, 12, 97):
+        ctx = CyclotomicContext(order)
+        for _ in range(20):
+            z = CyclotomicNumber(ctx, [rng.randint(-9, 9) for _ in range(ctx.degree)])
+            assert real_value(z) == pytest.approx(z.to_complex().real, rel=1e-12, abs=1e-12)
 
 
 def test_power_conjugation_rule():

@@ -58,6 +58,18 @@ def test_exact_rationals_live_in_cyclotomic_only():
     assert importers == ["cyclotomic.py"]
 
 
+def test_cli_is_the_command_line_only():
+    # the checks and the float comparisons they make live in checks.py, and
+    # the decimal evaluation det prints lives in cyclotomic.py
+    package = sorted(Path(hermix.__file__).parent.glob("*.py"))
+    sources = {p.name: p.read_text(encoding="utf-8") for p in package}
+    assert [name for name, text in sources.items() if imports_module(text, "numpy")] == [
+        "checks.py",
+        "spectral.py",
+    ]
+    assert not imports_module(sources["cli.py"], "decimal")
+
+
 def test_public_names_are_the_import_block():
     names = hermix.__all__
     assert names == sorted(names)

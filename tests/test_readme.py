@@ -5,6 +5,7 @@ import re
 import shlex
 from pathlib import Path
 
+import hermix.checks as checks
 import hermix.cli as cli
 from hermix import generate_instance, render_document
 
@@ -69,4 +70,4 @@ def test_document_format_example_is_the_generator_golden():
 
 def test_check_list_is_the_registry():
     listed = re.findall(r"^(\d+)\. `(\w+)`:", README, flags=re.M)
-    assert listed == [(str(k), name) for k, name in enumerate(cli.CHECKS, 1)]
+    assert listed == [(str(k), name) for k, name in enumerate(checks.CHECKS, 1)]
