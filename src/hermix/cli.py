@@ -46,16 +46,18 @@ def command_inverse(doc: GraphDocument, show_paths: bool, out) -> int:
     ctx = CyclotomicContext(doc.alpha_order)
     m = ensure_class_h(x)
     inv = _inverse_upm(x, ctx, m)
-    print(f"alpha_order = {doc.alpha_order}", file=out)
-    print("inverse:", file=out)
-    # each distinct nonzero value is rendered once; the rest of a row is zero
-    text = {v: v.to_polynomial_string() for v in {v for row in inv.rows for v in row.values()}}
+    # the matrix holds one object per value, so each value is rendered once;
+    # the rest of a row is zero
+    distinct = {id(v): v for row in inv.rows for v in row.values()}
+    text = {key: v.to_polynomial_string() for key, v in distinct.items()}
     blank = ctx.zero().to_polynomial_string()
+    lines = [f"alpha_order = {doc.alpha_order}\ninverse:\n"]
     for row in inv.rows:
         cells = [blank] * x.n
         for j, v in row.items():
-            cells[j] = text[v]
-        print(f"[{', '.join(cells)}]", file=out)
+            cells[j] = text[id(v)]
+        lines.append(f"[{', '.join(cells)}]\n")
+    print("".join(lines), end="", file=out)
     if show_paths:
         for (i, j), bag in sorted(paths_by_pair(x, m).items()):
             if i < j:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import chain
+
 import numpy as np
 
 from .cyclotomic import CyclotomicContext, CyclotomicNumber
@@ -21,31 +23,50 @@ class ExactHermitianMatrix:
     """Square matrix over one cyclotomic field, hermitian by checked invariant.
 
     Row i is a dict from column j to the nonzero entry (i, j); an absent
-    column is zero, and explicit zeros are dropped on construction.
+    column is zero, and explicit zeros are dropped on construction. Equal
+    entries are one object: the first of its value met in row-major order.
     """
 
     __slots__ = ("ctx", "dim", "rows")
 
     def __init__(self, ctx: CyclotomicContext, rows):
         rows = tuple(rows)
+        dim = len(rows)
         # each distinct entry object is checked once: its field, whether it is
-        # zero, and its conjugate
+        # zero, and which value it holds
         distinct = {id(a): a for row in rows for a in row.values()}
         if any(a.ctx.order != ctx.order for a in distinct.values()):
             raise ContextMismatch("entry from a different cyclotomic field")
-        cols = range(len(rows))
-        if any(j not in cols for row in rows for j in row):
-            raise ValueError(f"column outside 0..{len(rows) - 1}")
-        self.ctx, self.dim = ctx, len(rows)
-        mirror = {key: a.conj() for key, a in distinct.items() if not a.is_zero()}
-        self.rows = tuple({j: a for j, a in row.items() if id(a) in mirror} for row in rows)
+        # a column is an int in 0..dim-1, checked by type: a bool or a float key equals an int
+        if {*map(type, chain.from_iterable(rows))} - {int} or {*chain.from_iterable(rows)} - {*range(dim)}:
+            raise ValueError(f"column outside 0..{dim - 1}")
+        self.ctx, self.dim = ctx, dim
+        # (nums, den) is in lowest terms, so it names the value; keep[id] is the
+        # object held for that value, None for a zero
+        value, keep = {}, {}
+        for key, a in distinct.items():
+            keep[key] = None if a.is_zero() else value.setdefault((a.nums, a.den), a)
+        stray = {key for key, a in distinct.items() if keep[key] is not a}
+        if stray:  # only rows holding a zero or a second object of a value are rebuilt
+            rows = [
+                row if stray.isdisjoint(map(id, row.values()))
+                else {j: keep[id(a)] for j, a in row.items() if keep[id(a)] is not None}
+                for row in rows
+            ]
+        self.rows = tuple(map(dict, rows))
+        # each held value is conjugated once; its mirror is the object held for
+        # the conjugate, or one no row holds
+        mirror, missing = {}, object()
+        for a in value.values():
+            c = a.conj()
+            mirror[id(a)] = value.get((c.nums, c.den), missing)
         # every stored (i, j) needs its conjugate stored at (j, i); a fault is
         # reported at the first pair i <= j in row-major order
         faults = [
             (min(i, j), max(i, j))
             for i, row in enumerate(self.rows)
             for j, a in row.items()
-            if self.rows[j].get(i) != mirror[id(a)]
+            if self.rows[j].get(i) is not mirror[id(a)]
         ]
         if faults:
             raise ValueError(f"not hermitian at {min(faults)}")

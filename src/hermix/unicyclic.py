@@ -180,15 +180,14 @@ def _signed_entries(mat: ExactHermitianMatrix) -> list[tuple] | None:
     classifies as Other, or a diagonal entry, which conjugation leaves alone,
     is a negative power.
     """
-    out = []
-    for i, row in enumerate(mat.rows):
-        for j, a in row.items():
-            if j < i:
-                continue
-            kind = classify_entry(a)
-            if kind is OTHER or (i == j and kind.sign != 1):
-                return None
-            out.append((i, j, kind))
+    # the matrix holds one object per value: each value is classified once
+    distinct = {id(a): a for row in mat.rows for a in row.values()}
+    kinds = {key: classify_entry(a) for key, a in distinct.items()}
+    if any(kind is OTHER for kind in kinds.values()):
+        return None
+    out = [(i, j, kinds[id(a)]) for i, row in enumerate(mat.rows) for j, a in row.items() if j >= i]
+    if any(i == j and kind.sign != 1 for i, j, kind in out):
+        return None
     return out
 
 

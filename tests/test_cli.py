@@ -206,7 +206,7 @@ def test_inverse_paths_listing():
 def test_inverse_render_matches_entrywise_render(monkeypatch, tmp_path):
     doc = tmp_path / "n70.json"
     doc.write_text(render_document(replace(generate_instance(7, 70, unicyclic=True), alpha_order=3)))
-    built, rendered = [], []
+    built, rendered, hashes = [], [], []
 
     def upm_kept(g, ctx, m):
         built.append(_inverse_upm(g, ctx, m))
@@ -216,18 +216,25 @@ def test_inverse_render_matches_entrywise_render(monkeypatch, tmp_path):
         rendered.append(self)
         return render(self)
 
-    render = CyclotomicNumber.to_polynomial_string
+    def hashed(self):
+        hashes.append(self)
+        return hash_value(self)
+
+    render, hash_value = CyclotomicNumber.to_polynomial_string, CyclotomicNumber.__hash__
     patch_every_holder(monkeypatch, _inverse_upm, upm_kept)
     monkeypatch.setattr(CyclotomicNumber, "to_polynomial_string", counted)
+    monkeypatch.setattr(CyclotomicNumber, "__hash__", hashed)
     code, out, _ = run_cli(["inverse", str(doc)])
     assert code == 0
+    monkeypatch.undo()
     (inv,) = built
     rows = [", ".join(render(inv.entry(i, j)) for j in range(70)) for i in range(70)]
     assert out == "alpha_order = 3\ninverse:\n" + "".join(f"[{row}]\n" for row in rows)
     # each distinct nonzero value is rendered once, and zero once, not each
-    # of the 4,900 entries
-    distinct = {v for row in inv.rows for v in row.values()}
-    assert 1 < len(rendered) <= len(distinct) + 1 < 100
+    # of the 4,900 entries; no entry is hashed on the way
+    distinct = {(v.nums, v.den) for row in inv.rows for v in row.values()}
+    assert len(rendered) == len(distinct) + 1 < 100
+    assert hashes == []
 
 
 def test_classify_basepoint_flag():

@@ -1,10 +1,12 @@
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from hermix import (
     CyclotomicContext,
+    CyclotomicNumber,
     ExactHermitianMatrix,
     HasArcs,
     InvalidParameter,
@@ -16,6 +18,7 @@ from hermix import (
     co_augmenting_paths,
     det_via_elementary,
     ensure_class_h,
+    generate_instance,
     h_alpha_matrix,
     inverse_bipartite_upm,
     inverse_entry_general,
@@ -23,6 +26,7 @@ from hermix import (
     orient_nonmatching,
     walk_value,
 )
+from hermix import inverse
 from hermix.graph import simple_paths
 from hermix.inverse import _adjugate_row
 
@@ -115,6 +119,54 @@ def test_triangular_inverse_at_n80():
         inv = inverse_bipartite_upm(x, ctx)
         assert inv.multiply(h_alpha_matrix(x, ctx)) == ExactHermitianMatrix.identity(ctx, x.n).rows
         assert all(inv.entry(i, i).is_zero() for i in range(x.n))
+
+
+def test_matrices_are_built_without_comparing_entries(monkeypatch):
+    # both matrices hold one object per value, so the constructor checks each
+    # entry by identity: no entry is compared or hashed, and each distinct
+    # value is conjugated once
+    x = generate_instance(1, 40, True).to_graph()
+    ctx = CyclotomicContext(3)
+    calls = Counter()
+    for name in ("__eq__", "__hash__", "conj"):
+        def counted(*args, _name=name, _method=getattr(CyclotomicNumber, name)):
+            calls[_name] += 1
+            return _method(*args)
+
+        monkeypatch.setattr(CyclotomicNumber, name, counted)
+    h = h_alpha_matrix(x, ctx)
+    hinv = inverse_bipartite_upm(x, ctx)
+    monkeypatch.undo()
+    assert calls == {"conj": sum(len({id(a) for row in m.rows for a in row.values()}) for m in (h, hinv))}
+    for m in (h, hinv):
+        held = [a for row in m.rows for a in row.values()]
+        assert len({id(a) for a in held}) == len({(a.nums, a.den) for a in held})
+
+
+def test_recurrence_gives_the_constructor_one_object_per_value(monkeypatch):
+    # on this document two coefficient vectors of the recurrence reduce to
+    # one value; the rows handed to the constructor still hold it as one object
+    x = generate_instance(3, 8, True).to_graph()
+    ctx = CyclotomicContext(3)
+    reduced, given = [], []
+    power_sum = CyclotomicContext._power_sum
+
+    def counted(self, terms, den=1):
+        reduced.append(self)
+        return power_sum(self, terms, den)
+
+    def built(c, rows):
+        given.append((len(reduced), rows))
+        return ExactHermitianMatrix(c, rows)
+
+    monkeypatch.setattr(CyclotomicContext, "_power_sum", counted)
+    monkeypatch.setattr(inverse, "ExactHermitianMatrix", built)
+    inverse._inverse_upm(x, ctx, ensure_class_h(x))
+    monkeypatch.undo()
+    # one reduction per distinct vector, all before the constructor runs
+    ((vectors, rows),) = given
+    values = [a for row in rows for a in row.values()]
+    assert len({id(a) for a in values}) == len({(a.nums, a.den) for a in values}) < vectors
 
 
 def test_general_formula_matches_closed_form_on_class_h():

@@ -64,8 +64,14 @@ def test_matrix_must_be_hermitian():
         with pytest.raises(ValueError, match=r"not hermitian at \(0, 2\)$"):
             ExactHermitianMatrix(ctx, rows)
     ExactHermitianMatrix(ctx, [{1: a}, {0: a.conj()}])
-    # a column outside the matrix, even one holding a zero
-    for bad in ([{2: a}, {}], [{}, {-1: a}], [{1: a}, {0: a.conj(), 5: zero}]):
+    # a column outside the matrix, even one holding a zero; a bool or a float
+    # key equals an int column and is outside too, also beside an equal int
+    # key in another row
+    one = ctx.one()
+    for bad in (
+        [{2: a}, {}], [{}, {-1: a}], [{1: a}, {0: a.conj(), 5: zero}],
+        [{1.0: one}, {0: one}], [{True: one}, {0: one}], [{0: one, 1: one}, {0: one, True: one}],
+    ):
         with pytest.raises(ValueError, match=r"column outside 0\.\.1$"):
             ExactHermitianMatrix(ctx, bad)
 
@@ -162,7 +168,11 @@ def test_matrix_check_matches_pairwise_rule(data):
                 row[j] = -(-a)
     fault = first_pairwise_failure(rows)
     if fault is None:
-        assert dense(ExactHermitianMatrix(ctx, sparse(rows))) == rows
+        m = ExactHermitianMatrix(ctx, sparse(rows))
+        assert dense(m) == rows
+        # the copies came in as distinct objects, and are held as one per value
+        held = [a for row in m.rows for a in row.values()]
+        assert len({id(a) for a in held}) == len({(a.nums, a.den) for a in held})
     else:
         with pytest.raises(ValueError, match=rf"not hermitian at \({fault[0]}, {fault[1]}\)$"):
             ExactHermitianMatrix(ctx, sparse(rows))

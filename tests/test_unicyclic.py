@@ -335,10 +335,10 @@ def test_similarity_certificate_is_verified(monkeypatch):
 
 def test_classify_reads_only_nonzero_entries(monkeypatch):
     # the order-3 inverse has 820 nonzeros of 25,600 entries, none on the
-    # diagonal: 410 in the upper triangle, the only ones worth classifying
+    # diagonal, and a handful of distinct values: each is classified once
     x = generate_instance(1, 160, True).to_graph()
     inv = inverse_bipartite_upm(x, CyclotomicContext(3))
-    nonzeros = sum(not inv.entry(i, j).is_zero() for i in range(x.n) for j in range(x.n))
+    distinct = {(a.nums, a.den) for row in inv.rows for a in row.values()}
     calls = []
 
     def counted(a):
@@ -347,7 +347,7 @@ def test_classify_reads_only_nonzero_entries(monkeypatch):
 
     monkeypatch.setattr(unicyclic, "classify_entry", counted)
     classify_gamma_similarity(x)
-    assert 0 < len(calls) <= nonzeros // 2
+    assert 0 < len(calls) <= len(distinct) < 20
 
 
 def test_classification_ignores_the_inverse_storage_order():
