@@ -10,7 +10,7 @@ import numpy as np
 
 from .cyclotomic import CyclotomicContext
 from .errors import NotInClassH, NotUnicyclic
-from .graph import MixedGraph, simple_paths
+from .graph import MixedGraph
 from .inverse import _adjugate_row, _inverse_upm, orient_nonmatching
 from .matching import ensure_class_h, paths_by_pair
 from .spectral import (
@@ -103,82 +103,19 @@ def inverse_vs_numeric(f: GraphFacts) -> bool:
     return diff <= RESIDUAL_TOLERANCE * max(1.0, np.abs(numeric).max(initial=0.0))
 
 
-class _MinorSteps:
-    """The exits from v of a path P from ``start`` in a class-H graph below
-    which some path can have a nonzero minor det(H - V(P)); read by
-    simple_paths just after it marks v.
-
-    A vertex off P whose neighbours are all on P is bare: its row of H - V(P)
-    is zero, and so is the minor. A bare z stays bare on every longer path
-    that misses it, and once entered it has no exit. In class H every vertex
-    has a neighbour, its partner, so z turned bare when its last neighbour
-    joined P as P's end. Hence with two bare vertices no path below P has a
-    nonzero minor, and with one, z, only P + z can: z is then the one exit.
-
-    simple_paths clears its marks without telling the rule, so the rule keeps
-    its own copy of P: ``sync`` each path as it is yielded, which is before
-    its last vertex's exits are read.
-    """
-
-    __slots__ = ("adj", "path", "on_path", "outside", "bare")
-
-    def __init__(self, adj, start):
-        self.adj, self.path, self.on_path = adj, [], bytearray(len(adj))
-        self.outside = [len(row) for row in adj]  # each vertex's neighbours off P
-        self.bare = set()
-        self._push(start)
-
-    def _push(self, v):
-        self.path.append(v)
-        self.on_path[v] = 1
-        self.bare.discard(v)
-        for u in self.adj[v]:
-            self.outside[u] -= 1
-            if not self.outside[u] and not self.on_path[u]:
-                self.bare.add(u)
-
-    def _pop(self):
-        v = self.path.pop()
-        self.on_path[v] = 0
-        for u in self.adj[v]:
-            if not self.outside[u]:
-                self.bare.discard(u)
-            self.outside[u] += 1
-        if not self.outside[v]:
-            self.bare.add(v)
-
-    def sync(self, path):
-        while len(self.path) >= len(path):
-            self._pop()
-        self._push(path[-1])
-
-    def __getitem__(self, v):
-        if not self.bare:
-            return self.adj[v]
-        return tuple(self.bare) if len(self.bare) == 1 else ()
-
-
-def _minor_paths(adj, start):
-    """The paths from ``start`` of a class-H graph whose minor can be nonzero:
-    an even vertex count, and no bare vertex (see _MinorSteps). The graph is
-    bipartite, so an odd count leaves the sides of H - V(P) unequal: it is
-    [[0, B], [B*, 0]] with B not square, and singular."""
-    steps = _MinorSteps(adj, start)
-    for path in simple_paths(steps, start, None, bytearray(len(adj))):
-        steps.sync(path)
-        if not steps.bare and not len(path) % 2:
-            yield path
-
-
 @_check(lambda f: f.inverse is not None)
 def inverse_vs_general_formula(f: GraphFacts) -> bool:
-    # one path search per source, each minor once; both sides keep nonzeros only, none at det 0.
-    # Class H is bipartite, and only the terms whose minor is zero by a zero row or by
-    # parity are left out (_minor_paths), so the sum is the paper's formula read whole
-    minors, live = {}, not f.det.is_zero()
+    # the paper's formula det(H) * (H^-1)_ij = sum over P of (-1)^|E(P)| h(P) det(H - V(P)),
+    # summed over the co-augmenting paths with i < j, one minor per vertex set: with a
+    # unique perfect matching every other minor is zero (README, check 7), and entry
+    # (j, i) is the conjugate of (i, j) on both sides. Both keep nonzeros only, none at det 0
+    by_start, minors, live = [[] for _ in f.inverse.rows], {}, not f.det.is_zero()
+    for (i, j), bag in f.paths.items():
+        if i < j:
+            by_start[i] += bag
     for i, row in enumerate(f.inverse.rows):
-        sums = _adjugate_row(f.x, f.ctx, _minor_paths(f.x.adjacency, i), minors)
-        if sums != {j: f.det * v for j, v in row.items() if live and j != i}:
+        sums = _adjugate_row(f.x, f.ctx, by_start[i], minors)
+        if sums != {j: f.det * v for j, v in row.items() if live and j > i}:
             return False
     return True
 

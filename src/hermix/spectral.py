@@ -96,9 +96,12 @@ class ExactHermitianMatrix:
         """D * M * D for a +-1 diagonal D."""
         if len(signs) != self.dim or any(s not in (1, -1) for s in signs):
             raise ValueError("signs must be +-1 of matching length")
-        # each distinct entry is negated once, so the result shares its values
+        # each distinct entry is negated once, onto the object held for the negated
+        # value where there is one, so the result holds one object per value
         distinct = {id(a): a for row in self.rows for a in row.values()}
+        held = {(a.nums, a.den): a for a in distinct.values()}
         negated = {key: -a for key, a in distinct.items()}
+        negated = {key: held.get((b.nums, b.den), b) for key, b in negated.items()}
         rows = [
             {j: a if s == signs[j] else negated[id(a)] for j, a in row.items()}
             for s, row in zip(signs, self.rows)

@@ -236,19 +236,6 @@ def pegs_oracle(x: MixedGraph, m: Matching) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(e for e in m.edges if (e[0] in on_cycle) != (e[1] in on_cycle)))
 
 
-def bare_vertices(x, path) -> set:
-    """The vertices off the path whose neighbours are all on it: each leaves a
-    zero row in H - V(path)."""
-    on = set(path)
-    return {v for v in range(x.n) if v not in on and on.issuperset(x.adjacency[v])}
-
-
-def minor_can_be_nonzero(x, path) -> bool:
-    """Check 7's filter read directly: in a bipartite graph det(H - V(P)) is
-    zero at an odd vertex count, and at a bare vertex."""
-    return not len(path) % 2 and not bare_vertices(x, path)
-
-
 def canonical_cycle(vertices) -> tuple[int, ...]:
     """Rotate/reflect a cyclic vertex sequence into canonical form: least
     vertex first, second vertex less than last."""

@@ -26,11 +26,10 @@ from hermix.spectral import det_via_elementary
 from conftest import (
     DATA,
     DESK_NAMES,
-    bare_vertices,
     c4_four_pendants,
     c6_two_pendants,
+    coaug_paths_oracle,
     h_corpus,
-    minor_can_be_nonzero,
     triangular_graph,
 )
 
@@ -61,58 +60,58 @@ def test_general_formula_check_fails_on_altered_facts():
     assert checks.run_check("inverse_vs_general_formula", altered) == "fail"
 
 
-def test_general_formula_check_reads_the_paths_whose_minor_can_be_nonzero(monkeypatch):
-    # check 7 walks below a path P only while some longer path can have a nonzero
-    # minor: no bare vertex, or one bare vertex next to P's end, which ends the walk;
-    # it takes the minor of exactly the paths the filter keeps, and every path of
-    # the full walk it leaves out has a zero minor
+def test_general_formula_check_sums_the_co_augmenting_paths(monkeypatch):
+    # check 7 sums the formula over exactly the co-augmenting i..j paths with i < j;
+    # every other path of the full walk, in either direction, has a zero minor, so
+    # that sum is the paper's formula read whole
     docs = [parse_graph((DATA / f"{name}.json").read_text()) for name in DESK_NAMES]
     graphs = [(doc.to_graph(), doc.alpha_order) for doc in docs]
     for unicyclic, seed0 in ((False, 300), (True, 400)):
         for doc in h_corpus(24, sizes=(6, 8, 10, 12), unicyclic=unicyclic, seed0=seed0):
             graphs.append((doc.to_graph(), 2 + len(graphs) % 5))
     graphs += [(triangular_graph(k, s), 3) for k in range(1, 7) for s in (1, 2)]
-    walks, taken = [], []
-
-    def spy_paths(adj, start, target, blocked):
-        for path in simple_paths(adj, start, target, blocked):
-            walks.append(path)
-            yield path
+    taken = []
 
     def spy_row(x, ctx, paths, minors):
         paths = list(paths)
         taken.extend(paths)
         return _adjugate_row(x, ctx, paths, minors)
 
-    monkeypatch.setattr(checks, "simple_paths", spy_paths)
     monkeypatch.setattr(checks, "_adjugate_row", spy_row)
-    through_single_exit = 0
+    even_and_zero = 0
     for x, order in graphs:
-        ctx, minors = CyclotomicContext(order), {}
-
-        def minor_is_zero(path):
-            key = frozenset(path)
-            if key not in minors:
-                minors[key] = det_via_elementary(x, ctx, path).is_zero()
-            return minors[key]
-
-        walks.clear()
+        ctx, m, zero = CyclotomicContext(order), ensure_class_h(x), {}
         taken.clear()
         assert checks.run_check("inverse_vs_general_formula", checks.GraphFacts(x, ctx)) == "pass"
-        full = [p for i in range(x.n) for p in simple_paths(x.adjacency, i, None, bytearray(x.n))]
-        walked = []
-        for p in full:
-            # the bare vertices under each proper prefix, from the start vertex on
-            bare = [bare_vertices(x, p[:k]) for k in range(1, len(p))]
-            if all(not b or (b == {p[-1]} and k == len(p) - 2) for k, b in enumerate(bare)):
-                walked.append(p)
-                # entered by the single exit to a bare vertex, with a nonzero minor
-                through_single_exit += bool(bare[-1]) and not minor_is_zero(p)
-        assert walks == walked
-        assert taken == [p for p in full if minor_can_be_nonzero(x, p)]
-        assert all(minor_is_zero(p) for p in set(full) - set(taken))
-    # P4's path 0, 1, 2, 3 is one: under 0, 1, 2 vertex 3 is bare
-    assert through_single_exit > 0
+        coaug = [p for i in range(x.n) for j in range(i + 1, x.n) for p in coaug_paths_oracle(x, m, i, j)]
+        assert sorted(taken) == sorted(coaug)
+        either_way = {*coaug, *(p[::-1] for p in coaug)}
+        for i in range(x.n):
+            for p in simple_paths(x.adjacency, i, None, bytearray(x.n)):
+                if p not in either_way:
+                    key = frozenset(p)
+                    if key not in zero:
+                        zero[key] = det_via_elementary(x, ctx, p).is_zero()
+                    assert zero[key], p
+                    even_and_zero += not len(p) % 2
+    # zero by the unique matching, not by parity: P4's path 1, 2 among them
+    assert even_and_zero > 0
+
+
+def test_general_formula_check_fails_on_a_dropped_path():
+    # a co-augmenting path dropped from a pair i < j changes that pair's sum; one
+    # dropped from a pair i > j is left to check 8, which counts every pair
+    doc = parse_graph((DATA / "c6_two_pendants.json").read_text())
+    ctx = CyclotomicContext(doc.alpha_order)
+    for below, bag_size in itertools.product((True, False), (1, 2)):
+        facts = checks.GraphFacts(doc.to_graph(), ctx)
+        assert checks.run_check("inverse_vs_general_formula", facts) == "pass"
+        pair, bag = next(
+            (p, b) for p, b in sorted(facts.paths.items()) if (p[0] < p[1]) == below and len(b) == bag_size
+        )
+        facts.paths[pair] = bag[1:]
+        assert checks.run_check("inverse_vs_general_formula", facts) == ("fail" if below else "pass")
+        assert checks.run_check("coaugmenting_counts", facts) == "fail"
 
 
 def test_coaugmenting_counts_fails_on_a_wrong_path_list():

@@ -26,7 +26,6 @@ from hermix import (
     ParseError,
     co_augmenting_paths,
     ensure_class_h,
-    enumerate_paths,
     generate_instance,
     parse_graph,
     render_document,
@@ -41,8 +40,8 @@ from hermix.spectral import LEIBNIZ_CAP, det_via_elementary
 from conftest import (
     DATA,
     cli_cases,
+    coaug_paths_oracle,
     disjoint_triangles,
-    minor_can_be_nonzero,
     triangular_graph,
 )
 
@@ -298,16 +297,16 @@ def test_check_computes_shared_facts_once(monkeypatch, tmp_path):
     # one full determinant, no field inverse, one order-3 inverse and one listing
     # of the co-augmenting paths per call, whether the document's own inverse is
     # the order-3 one or not; and one adjugate minor per distinct vertex set of a
-    # path whose minor can be nonzero. Outside class H neither paths nor minors
+    # co-augmenting i..j path with i < j. Outside class H neither paths nor minors
     full_dets, inverses, order3, listings, minors = [], [], [], [], []
     doc = parse_graph((DATA / "c6_two_pendants.json").read_text())
     x = doc.to_graph()
+    m = ensure_class_h(x)
     path_sets = {
         frozenset(p)
         for i in range(x.n)
         for j in range(i + 1, x.n)
-        for p in enumerate_paths(x, i, j)
-        if minor_can_be_nonzero(x, p)
+        for p in coaug_paths_oracle(x, m, i, j)
     }
 
     def det_counted(g, ctx, drop=()):
@@ -350,11 +349,12 @@ def test_check_computes_shared_facts_once(monkeypatch, tmp_path):
 
 
 def test_check_on_dense_triangular_documents(tmp_path):
-    # triangular_graph(9, 1) has 16,479,072 ordered simple paths; check 7 walks
-    # 284,236 of them, below which a minor can be nonzero, and ends in about a second
+    # n = 24: check 7 sums over the co-augmenting paths the listing already holds
+    # and ends in a fraction of a second; walking the simple paths below which a
+    # minor is not plainly zero, as it once did, takes minutes from n = 20 on
     for seed in (1, 2):
-        x = triangular_graph(9, seed)
-        doc = tmp_path / f"triangular9_{seed}.json"
+        x = triangular_graph(12, seed)
+        doc = tmp_path / f"triangular12_{seed}.json"
         doc.write_text(
             render_document(GraphDocument(x.n, tuple(x.digons), tuple(x.arcs), alpha_order=3))
         )

@@ -211,6 +211,32 @@ def test_conjugation_by_signs():
                 assert dense(m.conjugated_by_signs(d)) == want
 
 
+def test_conjugation_by_signs_gives_the_constructor_one_object_per_value(monkeypatch):
+    # an inverse holds both gamma and -gamma; each negation is the object already
+    # held for its value, so the constructor has no object to replace
+    rng, given, opposite = random.Random(40), [], 0
+    build = ExactHermitianMatrix.__init__
+
+    def built(self, ctx, rows):
+        rows = tuple(rows)
+        given.append(rows)
+        build(self, ctx, rows)
+
+    for seed in range(10):
+        hinv = inverse_bipartite_upm(generate_instance(seed, 40, True).to_graph(), CyclotomicContext(3))
+        held = {(a.nums, a.den) for row in hinv.rows for a in row.values()}
+        opposite += sum(((-a).nums, (-a).den) in held for row in hinv.rows for a in row.values())
+        given.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(ExactHermitianMatrix, "__init__", built)
+            hinv.conjugated_by_signs([rng.choice((1, -1)) for _ in range(hinv.dim)])
+        (rows,) = given
+        values = [a for row in rows for a in row.values()]
+        assert len({id(a) for a in values}) == len({(a.nums, a.den) for a in values})
+        assert not any(a.is_zero() for a in values)
+    assert opposite > 0
+
+
 def test_walk_value_products_and_errors():
     ctx = CyclotomicContext(5)
     x = pentagon_tail()
