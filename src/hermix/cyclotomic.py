@@ -4,11 +4,13 @@ Elements are kept in the power basis 1, alpha, ..., alpha^(phi(n)-1) of the
 field Q[x]/Phi_n(x), as integer numerators ``nums`` over one positive integer
 denominator ``den``. Reduction happens on every operation and the pair is kept
 in lowest terms (gcd(den, *nums) == 1), so two values are equal exactly when
-their (nums, den) tuples are equal. This is a field (Phi_n is irreducible),
-unlike the group ring Q[x]/(x^n - 1), so every nonzero element has an inverse.
-The automorphisms alpha -> alpha^k, k prime to n, give both ``conj`` (k = n-1)
-and ``inv``: the inverse is the product of the other conjugates over the norm,
-which is rational. ``Fraction`` appears only at the edges: the public
+their (nums, den) tuples are equal. Every way of making a number ends in
+``_raw``, which returns the one object its context holds for that (nums, den):
+within a context, equal values are one object. This is a field (Phi_n is
+irreducible), unlike the group ring Q[x]/(x^n - 1), so every nonzero element has
+an inverse. The automorphisms alpha -> alpha^k, k prime to n, give both ``conj``
+(k = n-1) and ``inv``: the inverse is the product of the other conjugates over
+the norm, which is rational. ``Fraction`` appears only at the edges: the public
 constructor, ``from_rational`` and the arithmetic operators accept it.
 """
 
@@ -63,7 +65,7 @@ class CyclotomicContext:
     """Field data for a fixed root order: Phi_n and the x^k reduction table."""
 
     __slots__ = ("order", "degree", "phi", "_powers", "_complex_basis",
-                 "_roots", "_zero", "_kinds")
+                 "_held", "_roots", "_zero", "_kinds")
 
     def __init__(self, order: int):
         if type(order) is not int or order < 1:  # type(): bool is an int subclass
@@ -89,6 +91,7 @@ class CyclotomicContext:
         self._complex_basis = tuple(
             cmath.exp(2j * cmath.pi * k / order) for k in range(d)
         )
+        self._held = {}  # (nums, den) -> the one CyclotomicNumber of that value
         self._roots = tuple(_raw(self, p, 1) for p in powers[:order])
         self._zero = _raw(self, (0,) * d, 1)
         self._kinds = None  # classify_entry's table, built on first use
@@ -129,25 +132,33 @@ class CyclotomicContext:
     def __hash__(self):
         return hash(("CyclotomicContext", self.order))
 
+    def __reduce__(self):  # a pickled context is rebuilt from its order
+        return CyclotomicContext, (self.order,)
+
     def __repr__(self):
         return f"CyclotomicContext(order={self.order})"
 
 
 class CyclotomicNumber:
-    """One element of Q(alpha). Immutable; all arithmetic returns new values."""
+    """One element of Q(alpha): immutable, and the one object of its value in
+    its context."""
 
     __slots__ = ("ctx", "nums", "den")
 
-    def __init__(self, ctx: CyclotomicContext, coeffs):
+    def __new__(cls, ctx: CyclotomicContext, coeffs):
         coeffs = [Fraction(c) for c in coeffs]
         if len(coeffs) != ctx.degree:
             raise ValueError("coefficient vector has wrong length")
         # each Fraction is in lowest terms, so over the lcm of their
         # denominators no prime divides den and every numerator
         den = math.lcm(*(c.denominator for c in coeffs))
-        self.ctx = ctx
-        self.nums = tuple(c.numerator * (den // c.denominator) for c in coeffs)
-        self.den = den
+        return _raw(ctx, tuple(c.numerator * (den // c.denominator) for c in coeffs), den)
+
+    def __deepcopy__(self, memo):  # immutable: a copy is the number itself
+        return self
+
+    def __reduce__(self):  # pickle and copy.copy give the object held for the value
+        return _raw, (self.ctx, self.nums, self.den)
 
     # -- coercion -----------------------------------------------------------
 
@@ -281,6 +292,8 @@ class CyclotomicNumber:
         return complex(real, 0.0 if conj == self else math.copysign(math.inf, z.imag))
 
     def __eq__(self, other):
+        if other is self:
+            return True
         o = self._lift(other)
         if o is None:
             return NotImplemented
@@ -373,11 +386,13 @@ def _decimal(m: int) -> str:
 
 
 def _raw(ctx: CyclotomicContext, nums: tuple[int, ...], den: int) -> CyclotomicNumber:
-    """A number from numerators already in lowest terms over ``den`` > 0."""
-    x = object.__new__(CyclotomicNumber)
-    x.ctx = ctx
-    x.nums = nums
-    x.den = den
+    """The one number of ``ctx`` with numerators ``nums``, in lowest terms over ``den`` > 0."""
+    x = ctx._held.get((nums, den))
+    if x is None:
+        x = ctx._held[nums, den] = object.__new__(CyclotomicNumber)
+        x.ctx = ctx
+        x.nums = nums
+        x.den = den
     return x
 
 

@@ -8,8 +8,8 @@ one table of minors and keep nonzero entries only, the row convention of ``Exact
 matching, where entry (i, j) is a signed sum over co-augmenting i..j paths;
 one recurrence builds it, listing no path. Each path value is a power of alpha,
 so the recurrence runs on integer coefficient vectors, where a step is a
-rotation plus a negation, and each distinct value is reduced into Q(alpha) once,
-as one object.
+rotation plus a negation, and each distinct vector is reduced into Q(alpha) once;
+vectors of one value reduce to its one object in the field.
 """
 
 from __future__ import annotations
@@ -96,13 +96,8 @@ def _inverse_upm(x: MixedGraph, ctx: CyclotomicContext, m: Matching) -> ExactHer
                         w = turn[v] = tuple(-c for c in v[n - k:] + v[:n - k])
                     row[j] = tuple(map(add, row[j], w)) if j in row else w
         rows[i] = row
-    # two coefficient vectors can reduce to one value: each value is kept as one object
-    held: dict[tuple, CyclotomicNumber] = {}
-    value = {}
-    for v in {v for row in rows for v in row.values()}:
-        a = ctx._power_sum(enumerate(v))
-        value[v] = held.setdefault((a.nums, a.den), a)
     # the constructor drops the entries that reduce to zero
+    value = {v: ctx._power_sum(enumerate(v)) for v in {v for row in rows for v in row.values()}}
     return ExactHermitianMatrix(ctx, [{j: value[v] for j, v in row.items()} for row in rows])
 
 

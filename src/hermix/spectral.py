@@ -23,8 +23,9 @@ class ExactHermitianMatrix:
     """Square matrix over one cyclotomic field, hermitian by checked invariant.
 
     Row i is a dict from column j to the nonzero entry (i, j); an absent
-    column is zero, and explicit zeros are dropped on construction. Equal
-    entries are one object: the first of its value met in row-major order.
+    column is zero, and explicit zeros are dropped on construction. Every
+    entry comes from ``ctx``, which holds one object per value, so equal
+    entries are one object.
     """
 
     __slots__ = ("ctx", "dim", "rows")
@@ -32,34 +33,21 @@ class ExactHermitianMatrix:
     def __init__(self, ctx: CyclotomicContext, rows):
         rows = tuple(rows)
         dim = len(rows)
-        # each distinct entry object is checked once: its field, whether it is
-        # zero, and which value it holds
+        # each distinct entry object is checked once: its context, and its conjugate
         distinct = {id(a): a for row in rows for a in row.values()}
-        if any(a.ctx.order != ctx.order for a in distinct.values()):
+        if any(a.ctx is not ctx for a in distinct.values()):
             raise ContextMismatch("entry from a different cyclotomic field")
         # a column is an int in 0..dim-1, checked by type: a bool or a float key equals an int
         if {*map(type, chain.from_iterable(rows))} - {int} or {*chain.from_iterable(rows)} - {*range(dim)}:
             raise ValueError(f"column outside 0..{dim - 1}")
         self.ctx, self.dim = ctx, dim
-        # (nums, den) is in lowest terms, so it names the value; keep[id] is the
-        # object held for that value, None for a zero
-        value, keep = {}, {}
-        for key, a in distinct.items():
-            keep[key] = None if a.is_zero() else value.setdefault((a.nums, a.den), a)
-        stray = {key for key, a in distinct.items() if keep[key] is not a}
-        if stray:  # only rows holding a zero or a second object of a value are rebuilt
-            rows = [
-                row if stray.isdisjoint(map(id, row.values()))
-                else {j: keep[id(a)] for j, a in row.items() if keep[id(a)] is not None}
-                for row in rows
-            ]
-        self.rows = tuple(map(dict, rows))
-        # each held value is conjugated once; its mirror is the object held for
-        # the conjugate, or one no row holds
-        mirror, missing = {}, object()
-        for a in value.values():
-            c = a.conj()
-            mirror[id(a)] = value.get((c.nums, c.den), missing)
+        # explicit zeros are dropped: rows are rebuilt only when the zero object is present
+        zero = ctx.zero()
+        if id(zero) in distinct:
+            self.rows = tuple({j: a for j, a in row.items() if a is not zero} for row in rows)
+        else:
+            self.rows = tuple(map(dict, rows))
+        mirror = {key: a.conj() for key, a in distinct.items()}
         # every stored (i, j) needs its conjugate stored at (j, i); a fault is
         # reported at the first pair i <= j in row-major order
         faults = [
@@ -96,12 +84,9 @@ class ExactHermitianMatrix:
         """D * M * D for a +-1 diagonal D."""
         if len(signs) != self.dim or any(s not in (1, -1) for s in signs):
             raise ValueError("signs must be +-1 of matching length")
-        # each distinct entry is negated once, onto the object held for the negated
-        # value where there is one, so the result holds one object per value
+        # each distinct entry is negated once
         distinct = {id(a): a for row in self.rows for a in row.values()}
-        held = {(a.nums, a.den): a for a in distinct.values()}
         negated = {key: -a for key, a in distinct.items()}
-        negated = {key: held.get((b.nums, b.den), b) for key, b in negated.items()}
         rows = [
             {j: a if s == signs[j] else negated[id(a)] for j, a in row.items()}
             for s, row in zip(signs, self.rows)

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import importlib
 import io
@@ -360,6 +361,28 @@ def test_check_on_dense_triangular_documents(tmp_path):
         )
         code, out, err = run_cli(["check", str(doc)])
         assert (code, err, out.splitlines()[-1]) == (0, "", "result: ok (10 checks)")
+
+
+def test_check_at_high_orders(tmp_path):
+    # field degrees 96 and 996: about 2.5 s at order 997
+    for order in (97, 997):
+        doc = tmp_path / f"unicyclic40_{order}.json"
+        doc.write_text(render_document(replace(generate_instance(1, 40, True), alpha_order=order)))
+        code, out, err = run_cli(["check", str(doc)])
+        assert (code, err, out.splitlines()[-1]) == (0, "", "result: ok (10 checks)")
+        assert not [line for line in out.splitlines() if line.endswith(": fail")]
+
+
+def test_check_leaves_no_number_alive(tmp_path):
+    # each call makes its own contexts, and a context's table of numbers dies with it
+    doc = tmp_path / "unicyclic.json"
+    doc.write_text(render_document(replace(generate_instance(2, 16, True), alpha_order=5)))
+    gc.collect()
+    before = [a for a in gc.get_objects() if type(a) is CyclotomicNumber]  # kept alive: ids stay unique
+    known = set(map(id, before))
+    assert run_cli(["check", str(doc)])[0] == 0
+    gc.collect()
+    assert [a for a in gc.get_objects() if type(a) is CyclotomicNumber and id(a) not in known] == []
 
 
 def test_check_reports_a_failing_check(monkeypatch):

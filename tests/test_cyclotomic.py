@@ -1,5 +1,7 @@
+import copy
 import decimal
 import math
+import pickle
 import random
 import sys
 from fractions import Fraction
@@ -319,6 +321,50 @@ def test_public_constructor_stores_lowest_terms(order, coords):
     assert_canonical(x)
     assert fraction_coords(x) == coords
     assert_canonical(ctx.from_rational(coords[0]))
+
+
+def assert_held(x):
+    """``x`` is the object its context holds for its value."""
+    assert CyclotomicNumber(x.ctx, [Fraction(c, x.den) for c in x.nums]) is x
+
+
+small_fractions = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+
+
+@given(st.data())
+def test_every_way_of_making_a_number_returns_the_held_object(data):
+    order = data.draw(st.sampled_from([2, 3, 4, 5, 6, 97]))
+    ctx = CyclotomicContext(order)
+    coeffs = st.lists(small_fractions, min_size=ctx.degree, max_size=ctx.degree)
+    a, b = (CyclotomicNumber(ctx, data.draw(coeffs)) for _ in range(2))
+    q = data.draw(small_fractions)
+    k = data.draw(st.integers(-2 * order, 2 * order))
+    terms = data.draw(st.lists(st.tuples(st.integers(0, order - 1), st.integers(-3, 3)), max_size=4))
+    made = [
+        a, b, ctx.from_rational(q), ctx.from_rational(k), ctx.root_power(k), ctx.zero(), ctx.one(),
+        a + b, a + q, q + a, a - b, a - q, q - a, -a, a * b, a * q, q * a, a.conj(),
+        ctx._power_sum(terms), copy.copy(a), copy.deepcopy(a),
+    ]
+    if not b.is_zero():
+        made += [b.inv(), a / b]
+    if q:
+        made.append(a / q)
+    for x in made:
+        assert_held(x)
+    assert all(x is a for x in copy.deepcopy([a, a]))
+    # a second context of the order holds its own objects, equal by value
+    other = CyclotomicNumber(CyclotomicContext(order), fraction_coords(a))
+    assert other is not a and other == a and hash(other) == hash(a)
+
+
+def test_pickle_rebuilds_the_context_from_its_order():
+    ctx = CyclotomicContext(6)
+    a = ctx.root_power(1)
+    b, c, d = pickle.loads(pickle.dumps((a, -a, a)))
+    assert b is d and b == a and c == -a and c is -b
+    assert b.ctx is not ctx and b.ctx.order == 6
+    assert_held(b)
+    assert_held(c)
 
 
 def test_rendering_reads_numerators_over_den():
